@@ -12,6 +12,16 @@ import pytest
 from repro.experiments import cached_audit, default_scenario
 
 
+@pytest.fixture(scope="session", autouse=True)
+def snapshot_dir(tmp_path_factory):
+    """Keep the benchmarks' substrate snapshots in a per-session directory,
+    never the user's ``~/.cache/repro``."""
+    path = tmp_path_factory.mktemp("snapshots")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOT_DIR", str(path))
+        yield path
+
+
 @pytest.fixture(scope="session")
 def scenario():
     return default_scenario()

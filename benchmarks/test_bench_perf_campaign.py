@@ -55,7 +55,10 @@ MARGINAL_BYTES_PER_RECORD = 512
 STREAM_MEM_BUDGET_BYTES = 8 * 1024 * 1024
 
 
-def test_perf_campaign_paper_scale(benchmark):
+def test_perf_campaign_paper_scale(benchmark, tmp_path, monkeypatch):
+    # A cold campaign: an empty snapshot directory, so no mesh-ping
+    # archive persisted by an earlier run is loaded.
+    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     scenario = paper_scale_scenario(seed=0)
     # rounds=1: the campaign is ~30 s on the reference VM; the hard
     # budgets gate the single measured run.

@@ -84,17 +84,25 @@ def test_perf_cold_fleet_floors_speedup(benchmark, scenario):
         f">= {REQUIRED_ORACLE_SPEEDUP:.0f}x faster than the oracle")
 
 
-def _cold_pipeline(mode):
-    """One cold scenario build plus a 60-server audit slice."""
+def _cold_pipeline(mode, snapshot_dir, monkeypatch):
+    """One cold scenario build plus a 60-server audit slice.
+
+    Cold means cold all the way down: the run gets an empty substrate
+    snapshot directory, so no mesh-ping archive from an earlier run can
+    be loaded.
+    """
+    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(snapshot_dir))
     start = time.perf_counter()
     scenario = default_scenario(seed=0, path_engine=mode)
     result = run_audit(scenario, max_servers=60, seed=0)
     return time.perf_counter() - start, result
 
 
-def test_perf_cold_pipeline_engines():
-    engine_s, engine_result = _cold_pipeline("csr")
-    oracle_s, oracle_result = _cold_pipeline("networkx")
+def test_perf_cold_pipeline_engines(tmp_path, monkeypatch):
+    engine_s, engine_result = _cold_pipeline(
+        "csr", tmp_path / "csr", monkeypatch)
+    oracle_s, oracle_result = _cold_pipeline(
+        "networkx", tmp_path / "networkx", monkeypatch)
 
     assert engine_result.eta.eta == oracle_result.eta.eta
     assert (engine_result.verdict_counts()

@@ -38,6 +38,13 @@ def _scenario(args):
                           crowd_quotas=SMALL_CROWD_QUOTAS)
 
 
+def _report_archive(scenario) -> None:
+    """One stderr line: how much of the mesh-ping archive was reused."""
+    atlas = scenario.atlas
+    print(f"mesh archive: {atlas.mesh_loaded} pairs loaded, "
+          f"{atlas.mesh_computed} pairs computed", file=sys.stderr)
+
+
 def _cmd_audit(args) -> int:
     from .experiments import run_audit
     if args.resume and not args.checkpoint:
@@ -62,6 +69,7 @@ def _cmd_audit(args) -> int:
         print(f"  {category:<40} {count:5d}")
     if args.ground_truth:
         print(f"ground truth: {result.ground_truth_accuracy()}")
+    _report_archive(scenario)
     return 0
 
 
@@ -103,6 +111,7 @@ def _cmd_campaign(args) -> int:
               f"{summary.n_servers} servers {state} -> {summary.journal_path}")
         print(f"  verdicts (pre-disambiguation): {summary.verdicts} "
               f"({summary.degraded} degraded)")
+        _report_archive(scenario)
         return 0
     if args.merge:
         report = merge_campaign(scenario, plan, shards=shards,
@@ -121,6 +130,7 @@ def _cmd_campaign(args) -> int:
             print(f"shard {summary.shard_index + 1}/{summary.shards}: "
                   f"{summary.n_servers} servers {state}")
         report = run.report
+    _report_archive(scenario)
     print(campaign_table(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -262,6 +272,8 @@ def _cmd_serve(args) -> int:
         warmed = service.verdict_batch(
             [(server, None) for server in scenario.all_servers()])
         print(f"warmed {len(warmed)} verdicts into the cache")
+        scenario.atlas.save_mesh_archive()
+    _report_archive(scenario)
     stats = serve_blocking(service, host=args.host, port=args.port,
                            queue_max=args.queue_max,
                            batch_max=args.batch_max,

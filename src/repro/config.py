@@ -143,12 +143,15 @@ PATH_ENGINE = _register(Knob(
         "per-source pure-Python networkx Dijkstra fallback.",
 ))
 
-PATHENGINE_CACHE = _register(Knob(
-    name="REPRO_PATHENGINE_CACHE",
+SNAPSHOT_DIR = _register(Knob(
+    name="REPRO_SNAPSHOT_DIR",
     kind="path",
     default=None,
-    doc="Directory for memmapped warm-start shortest-path matrices; "
-        "unset disables persistence.",
+    doc="Directory for the persisted substrate snapshot (the Atlas "
+        "mesh-ping archive, one content-digested file per world) that "
+        "audits, campaign shards and `repro serve --warm` reuse across "
+        "processes; unset means `$XDG_CACHE_HOME/repro`, else "
+        "`~/.cache/repro`.",
 ))
 
 AUDIT_ENGINE = _register(Knob(
@@ -259,6 +262,20 @@ def is_set(name: str) -> bool:
     knob(name)  # unknown names are programming errors, not "unset"
     raw = os.environ.get(name)
     return raw is not None and raw != ""
+
+
+def snapshot_dir() -> str:
+    """The substrate snapshot directory, resolved from the environment.
+
+    ``REPRO_SNAPSHOT_DIR`` when set; otherwise ``repro`` under
+    ``$XDG_CACHE_HOME``, falling back to ``~/.cache``.
+    """
+    configured = env_value(SNAPSHOT_DIR.name)
+    if isinstance(configured, str):
+        return configured
+    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(cache_home, "repro")
 
 
 def knob_table_markdown() -> str:

@@ -61,16 +61,13 @@ class CalibrationSet:
         """The global Spotter model, fitted over the full anchor mesh."""
         if self._spotter is None:
             anchors = self.atlas.anchors
-            # One batched materialisation of the full anchor mesh (same
-            # pair order as the loop) instead of O(L²) scalar lookups.
-            self.atlas.ensure_mesh((a, b) for i, a in enumerate(anchors)
-                                   for b in anchors[i + 1:])
-            points: List = []
-            for i, a in enumerate(anchors):
-                for b in anchors[i + 1:]:
-                    distance = a.host.distance_to(b.host)
-                    delay = self.atlas.min_one_way_ms(a, b)
-                    points.append((distance, delay))
+            # One batched lookup of the full anchor mesh instead of O(L²)
+            # scalar ones.
+            pairs = [(a, b) for i, a in enumerate(anchors)
+                     for b in anchors[i + 1:]]
+            delays = self.atlas.ensure_mesh(pairs).tolist()
+            points: List = [(a.host.distance_to(b.host), delay)
+                            for (a, b), delay in zip(pairs, delays)]
             self._spotter = SpotterCalibration(points)
         return self._spotter
 

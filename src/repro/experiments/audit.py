@@ -617,6 +617,10 @@ def run_audit(scenario: Scenario,
                                                batch, eta, seed, engine):
                     deliver(payload)
 
+    # Whatever mesh pings this audit archived outlive the process: the
+    # next shard, audit or service over the same world loads them.
+    scenario.atlas.save_mesh_archive()
+
     if finalize_checkpoint and checkpoint is not None:
         checkpoint.finalize()
 

@@ -8,8 +8,11 @@ grid.  The bank stores those distance fields as rows of one contiguous
 * a whole constraint set becomes a single broadcasted comparison
   (``fields <= radii[:, None]``) instead of a Python loop of per-landmark
   mask calls,
-* missing fields for a batch of points are computed in **one** vectorised
-  haversine sweep rather than one sweep per point,
+* missing fields are filled separably: the haversine terms are computed
+  once per grid row and once per grid column, then combined per cell
+  with the same float64 operations :func:`haversine_km_vec` applies, so
+  a field costs one ``arcsin`` per cell and no ``(k, n_cells)`` float64
+  temporaries,
 * a forked audit worker inherits the parent's fully-warmed matrix as
   copy-on-write pages, giving the process pool shared, zero-copy access
   to the heaviest data structure in the pipeline.
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import sanitize
-from ..geodesy.greatcircle import haversine_km_vec, validate_latlon
+from ..geodesy.greatcircle import haversine_term_km, validate_latlon
 from .region import n_words_for, pack_bits
 
 #: Decimal places used to key a coordinate (matches the old grid LRU).
@@ -131,18 +134,47 @@ class DistanceBank:
         self._block_cache.clear()
         self._rows_memo.clear()
 
-    def _blockify(self, start: int, stop: int) -> None:
-        """(Re)compute the coarse block aggregates for rows [start, stop)."""
-        if not self._block_side or stop <= start:
-            return
+    def _fill(self, start: int, lats: np.ndarray, lons: np.ndarray) -> None:
+        """Write the fields (and block aggregates) of points into rows
+        ``start, start + 1, ...``.
+
+        :func:`haversine_km_vec` computes, per cell,
+        ``a = sin(dphi/2)**2 + cos(phi1)*cos(phi2) * sin(dlam/2)**2``.
+        The first term and the cosine product depend only on the cell's
+        grid row, the last only on its column, so they are computed once
+        per row (``n_lat`` values) and once per column (``n_lon``), then
+        combined with the same float64 operations in the same order —
+        the same ufuncs on the same operand values, hence the same bits.
+        Every step after the row/column terms is monotone
+        non-decreasing (``cos >= 0`` on a sphere's latitudes), so a
+        block's extreme field value is the transform of ``a`` at its
+        extreme column term: the aggregates come from the factors too,
+        exactly equal to reducing the float32 field.
+        """
+        grid = self.grid
+        phi1 = np.radians(lats)[:, None]
+        phi2 = np.radians(grid.lat_centers)[None, :]
+        by_row = np.sin((phi2 - phi1) / 2.0) ** 2             # (k, n_lat)
+        cosines = np.cos(phi1) * np.cos(phi2)                 # (k, n_lat)
+        by_col = np.sin(np.radians(
+            grid.lon_centers[None, :] - lons[:, None]) / 2.0) ** 2
         side = self._block_side
-        shaped = self._fields[start:stop].reshape(
-            stop - start, self.grid.n_lat // side, side,
-            self.grid.n_lon // side, side)
-        self._block_min[start:stop] = shaped.min(axis=(2, 4)).reshape(
-            stop - start, self._n_blocks)
-        self._block_max[start:stop] = shaped.max(axis=(2, 4)).reshape(
-            stop - start, self._n_blocks)
+        scratch = np.empty((grid.n_lat, grid.n_lon))
+        for i in range(len(lats)):
+            row = start + i
+            np.multiply(cosines[i, :, None], by_col[i], out=scratch)
+            scratch += by_row[i, :, None]
+            self._fields[row].reshape(grid.n_lat, grid.n_lon)[:] = \
+                haversine_term_km(scratch, out=scratch)
+            if not side:
+                continue
+            cols = by_col[i].reshape(grid.n_lon // side, side)
+            for extreme, target in ((np.min, self._block_min),
+                                    (np.max, self._block_max)):
+                per_row = by_row[i, :, None] + cosines[i, :, None] \
+                    * extreme(cols, axis=1)
+                target[row] = haversine_term_km(extreme(per_row.reshape(
+                    grid.n_lat // side, side, -1), axis=1)).ravel()
 
     def _cells_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Flat cell indices covered by the given block indices."""
@@ -161,9 +193,7 @@ class DistanceBank:
     def rows(self, lats: Sequence[float], lons: Sequence[float]) -> np.ndarray:
         """Row indices for a batch of points, computing any missing fields.
 
-        All missing points are filled with a single broadcasted haversine
-        sweep — the batched equivalent of the old one-point-at-a-time
-        cache fill.
+        All missing points are filled in one batch (see :meth:`_fill`).
         """
         memo_key = None
         if type(lats) is list and type(lons) is list:
@@ -195,17 +225,12 @@ class DistanceBank:
                         missing[key] = position
             self._grow(len(missing))
             positions = list(missing.values())
-            fresh = haversine_km_vec(
-                lats[positions][:, None], lons[positions][:, None],
-                self.grid.cell_lats[None, :], self.grid.cell_lons[None, :],
-            ).astype(np.float32)
             base = self.n_points
-            self._fields[base:base + len(positions)] = fresh
+            self._fill(base, lats[positions], lons[positions])
             for offset, key in enumerate(missing):
                 row = base + offset
                 self._row_of[key] = row
                 self._views.append(self._fields[row])
-            self._blockify(base, base + len(positions))
         resolved = np.array([self._row_of[key] for key in keys], dtype=np.intp)
         if memo_key is not None:
             if len(self._rows_memo) >= 32:

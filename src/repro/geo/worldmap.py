@@ -22,12 +22,54 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geodesy.constants import MAX_PLAUSIBLE_LATITUDE_DEG, MIN_PLAUSIBLE_LATITUDE_DEG
-from ..geodesy.greatcircle import haversine_km, haversine_km_vec
+from ..geodesy.greatcircle import haversine_km, haversine_term_km
 from .countries import CONTINENTS, Country, CountryRegistry
 from .grid import Grid
 from .region import Region, pack_bits
 
 OCEAN = -1
+
+
+def _min_cell_distance_km(grid: Grid, cells_a: np.ndarray,
+                          cells_b: np.ndarray) -> float:
+    """Smallest great-circle distance between two ascending lists of grid
+    cells, km.
+
+    Bit for bit the minimum of :func:`haversine_km_vec` over every
+    (a, b) cell pair, without the pairwise sweep.  Its per-pair term
+    ``sin(dphi/2)**2 + cos(phi_a)*cos(phi_b) * sin(dlam/2)**2`` splits
+    into factors of the two cells' grid rows and of their columns; for
+    one pair of rows it is monotone non-decreasing in the column factor
+    (``cos >= 0``), and so is every step from the term to km.  So the
+    minimum is the km of the smallest row term + cosine product times
+    the smallest column factor between the two rows' cells — the same
+    ufuncs on the same operands, computed per row and column instead of
+    per cell pair, with no pair-sized temporaries.
+    """
+    if not cells_b.size:
+        raise ValueError("no cells to measure a distance to")
+    rows_a, cols_a = np.divmod(cells_a, grid.n_lon)
+    rows_b, cols_b = np.divmod(cells_b, grid.n_lon)
+    lat_rows_a, row_of_a = np.unique(rows_a, return_inverse=True)
+    lat_rows_b, row_of_b = np.unique(rows_b, return_inverse=True)
+    lon_cols_a, col_of_a = np.unique(cols_a, return_inverse=True)
+    lon_cols_b, col_of_b = np.unique(cols_b, return_inverse=True)
+    phi_a = np.radians(grid.lat_centers[lat_rows_a])[:, None]
+    phi_b = np.radians(grid.lat_centers[lat_rows_b])[None, :]
+    row_term = np.sin((phi_b - phi_a) / 2.0) ** 2
+    cosines = np.cos(phi_a) * np.cos(phi_b)
+    col_term = np.sin(np.radians(
+        grid.lon_centers[lon_cols_b][None, :]
+        - grid.lon_centers[lon_cols_a][:, None]) / 2.0) ** 2
+    # Both cell lists are ascending, hence grouped by row.
+    b_row_starts = np.flatnonzero(np.diff(row_of_b, prepend=-1))
+    best = np.inf
+    a_row_splits = np.flatnonzero(np.diff(row_of_a)) + 1
+    for row, cols in enumerate(np.split(col_of_a, a_row_splits)):
+        nearest = col_term[cols].min(axis=0)[col_of_b]
+        per_row_b = np.minimum.reduceat(nearest, b_row_starts)
+        best = min(best, (row_term[row] + cosines[row] * per_row_b).min())
+    return float(haversine_term_km(np.array([best]))[0])
 
 
 class WorldMap:
@@ -237,27 +279,9 @@ class WorldMap:
                 ((self.country_raster == idx) & region.mask).any())
         if overlaps:
             return 0.0
-        # Member gathers by index: identical vectors (values and order)
-        # to the boolean-mask gathers, so the distance sweep below is
-        # float-for-float the same under either engine.
-        region_cells = region.cell_indices()
-        country_mask = self.country_raster == idx
-        region_lats = self.grid.cell_lats[region_cells]
-        region_lons = self.grid.cell_lons[region_cells]
-        country_lats = self.grid.cell_lats[country_mask]
-        country_lons = self.grid.cell_lons[country_mask]
-        # Chunk the pairwise sweep: a continent-sized region against a
-        # large country would otherwise materialise a multi-hundred-MB
-        # distance matrix in one piece.
-        best = float("inf")
-        chunk = max(1, 4_000_000 // max(1, len(country_lats)))
-        for start in range(0, len(region_lats), chunk):
-            distances = haversine_km_vec(
-                region_lats[start:start + chunk][:, None],
-                region_lons[start:start + chunk][:, None],
-                country_lats[None, :], country_lons[None, :])
-            best = min(best, float(distances.min()))
-        return best
+        return _min_cell_distance_km(
+            self.grid, region.cell_indices(),
+            np.flatnonzero(self.country_raster == idx))
 
     def covers_country(self, region: Region, iso2: str) -> bool:
         """Does the region overlap any cell of the country?"""

@@ -83,6 +83,24 @@ def haversine_km_vec(lat1: "np.ndarray | float", lon1: "np.ndarray | float",
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
+def haversine_term_km(a: np.ndarray,
+                      out: "np.ndarray | None" = None) -> np.ndarray:
+    """Great-circle km from an array of haversine terms ``a``, into
+    ``out`` if given: :func:`haversine_km_vec`'s tail (clip to [0, 1],
+    sqrt, arcsin, scale), the same ufuncs in the same order.
+
+    Every step is monotone non-decreasing, so the smallest (largest)
+    distance over a set of terms is the distance of the smallest
+    (largest) term — what the separable distance fills rely on to
+    reduce before converting.
+    """
+    km: np.ndarray = np.clip(a, 0.0, 1.0, out=out)
+    np.sqrt(km, out=km)
+    np.arcsin(km, out=km)
+    km *= 2.0 * EARTH_RADIUS_KM
+    return km
+
+
 def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Initial bearing (forward azimuth) from point 1 to point 2, degrees in [0, 360)."""
     phi1 = lat1 * DEG_TO_RAD

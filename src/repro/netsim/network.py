@@ -12,7 +12,7 @@ because routes are circuitous.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -206,22 +206,11 @@ class Network:
         bytes the CSR engine does, so a service epoch captured under one
         path engine matches the digest captured under the other.
         """
+        from .pathengine import graph_digest
+
         if self._engine is not None:
             return self._engine.topology_digest()
-        import hashlib
-
-        nodes = sorted(self.topology.graph.nodes)
-        hasher = hashlib.sha256()
-        hasher.update(np.int64(len(nodes)).tobytes())
-        hasher.update(np.asarray(nodes, dtype=np.int64).tobytes())
-        edges = sorted(
-            (min(u, v), max(u, v), w)
-            for u, v, w in self.topology.graph.edges(data="latency_ms"))
-        for u, v, w in edges:
-            hasher.update(np.asarray(u, dtype=np.int64).tobytes())
-            hasher.update(np.asarray(v, dtype=np.int64).tobytes())
-            hasher.update(np.float64(w).tobytes())
-        return hasher.hexdigest()
+        return graph_digest(self.topology)
 
     def warm_paths(self, hosts: Sequence[Host]) -> None:
         """Precompute shortest-path rows for a host universe.
@@ -393,6 +382,49 @@ class Network:
                  for b in others])
             samples = faults.afflict_matrix(samples, down_rows, rng)
         return samples
+
+    def min_rtt_pairs_ms(self, hosts_a: Sequence[Host],
+                         hosts_b: Sequence[Host], seeds: Sequence[object],
+                         n: int) -> np.ndarray:
+        """Fault-free :meth:`min_rtt_ms` for aligned host pairs, ms.
+
+        Entry ``i`` equals ``min_rtt_ms(hosts_a[i], hosts_b[i], n,
+        np.random.default_rng(seeds[i]))`` outside a measurement epoch,
+        bit for bit.  Each pair still draws from its own generator, in
+        order: ``exponential(scale)`` is ``scale`` times a standard
+        exponential draw, so only the draws stay per pair while the
+        floors (:meth:`base_rtt_pairs`), scales, spikes and the minimum
+        become array operations.  The archived mesh pings are this
+        method's reason to exist; it refuses to run inside an epoch.
+        """
+        if n < 1:
+            raise ValueError(f"need at least one sample: {n!r}")
+        if self.active_faults() is not None:
+            raise RuntimeError("min_rtt_pairs_ms samples the fault-free "
+                               "substrate; leave the measurement epoch")
+        k = len(seeds)
+        if len(hosts_a) != k or len(hosts_b) != k:
+            raise ValueError("hosts and seeds disagree in length")
+        if k == 0:
+            return np.empty(0, dtype=np.float64)
+        bases = self.base_rtt_pairs(hosts_a, hosts_b)
+        congestion = self._congestion_by_city()
+        scales = (congestion[[a.city_id for a in hosts_a]]
+                  + congestion[[b.city_id for b in hosts_b]])
+        draws = np.empty((k, n), dtype=np.float64)
+        uniform = np.empty((k, n), dtype=np.float64)
+        extra: List[np.ndarray] = []
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.standard_exponential(out=draws[i])
+            rng.random(out=uniform[i])
+            spikes = int(np.count_nonzero(uniform[i] < 0.02))
+            if spikes:
+                extra.append(rng.standard_exponential(spikes))
+        noise = scales[:, None] * draws
+        if extra:
+            noise[uniform < 0.02] += 60.0 * np.concatenate(extra)
+        return (bases[:, None] + noise).min(axis=1)
 
     def min_rtt_ms(self, a: Host, b: Host, n: int = 3,
                    rng: Optional[np.random.Generator] = None, *,

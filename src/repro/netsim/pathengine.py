@@ -20,12 +20,7 @@ side was vectorised (see :mod:`repro.geo.bank`).
   clear);
 * :meth:`warm` precomputes the rows for a whole host universe before the
   audit forks its worker pool, so children inherit the matrix as
-  copy-on-write pages;
-* with ``REPRO_PATHENGINE_CACHE=<dir>`` set, warmed matrices are persisted
-  as ``.npy`` files keyed by a content digest of the topology plus the
-  source set, and later runs memory-map them back instead of recomputing
-  — a cache hit yields bit-identical distances because float64 values
-  round-trip exactly through the file.
+  copy-on-write pages.
 
 Everything is versioned against ``topology.version``: a structural
 mutation (hosting-AS creation) rebuilds the CSR matrix and drops every
@@ -45,8 +40,6 @@ independent of computation order.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,9 +60,23 @@ except ImportError:  # pragma: no cover - container always ships scipy
 #: Declared in :mod:`repro.config`; kept here for importers.
 ENGINE_ENV = config.PATH_ENGINE.name
 
-#: Environment variable naming a directory for persistent warm-start
-#: matrices.  Unset (the default) disables persistence entirely.
-CACHE_ENV = config.PATHENGINE_CACHE.name
+
+def graph_digest(topology: Topology) -> str:
+    """sha256 over the sorted router ids, then every edge as its sorted
+    endpoints' ids and its float64 latency, in sorted edge order."""
+    graph = topology.graph
+    nodes = sorted(graph.nodes)
+    edges = sorted((min(u, v), max(u, v), w)
+                   for u, v, w in graph.edges(data="latency_ms"))
+    hasher = hashlib.sha256()
+    hasher.update(np.int64(len(nodes)).tobytes())
+    hasher.update(np.asarray(nodes, dtype=np.int64).tobytes())
+    # One packed record per edge: the same bytes as hashing its two
+    # endpoints and its weight one update at a time.
+    hasher.update(np.array(edges, dtype=[("u", np.int64, (2,)),
+                                         ("v", np.int64, (2,)),
+                                         ("w", np.float64)]).tobytes())
+    return hasher.hexdigest()
 
 
 class PathEngine:
@@ -80,18 +87,13 @@ class PathEngine:
     topology:
         The router graph.  Structural mutations are detected through
         ``topology.version`` on every public call.
-    cache_dir:
-        Directory for memmapped warm-start matrices; defaults to the
-        ``REPRO_PATHENGINE_CACHE`` environment variable, and ``None``
-        (no persistence) when that is unset.
     max_rows:
         Soft bound on cached shortest-path rows.  When exceeded, the
-        oldest half is evicted; warm-started (memmapped) rows count
-        toward the bound like any other row.
+        oldest half is evicted; warmed rows count toward the bound like
+        any other row.
     """
 
-    def __init__(self, topology: Topology, cache_dir: Optional[str] = None,
-                 max_rows: int = 4096):
+    def __init__(self, topology: Topology, max_rows: int = 4096):
         if not HAVE_SCIPY:
             raise RuntimeError(
                 "PathEngine requires scipy; set REPRO_PATH_ENGINE=networkx "
@@ -100,9 +102,6 @@ class PathEngine:
             raise ValueError(f"max_rows too small: {max_rows!r}")
         self.topology = topology
         self.max_rows = int(max_rows)
-        env_cache = config.env_value(CACHE_ENV)
-        assert env_cache is None or isinstance(env_cache, str)
-        self.cache_dir = cache_dir if cache_dir is not None else env_cache
         self._version: Optional[int] = None
         self._nodes: List[RouterId] = []
         self._index: Dict[RouterId, int] = {}
@@ -282,35 +281,16 @@ class PathEngine:
         """Content digest of the router graph (nodes, edges, weights)."""
         self._ensure_current()
         if self._digest is None:
-            hasher = hashlib.sha256()
-            hasher.update(np.int64(len(self._nodes)).tobytes())
-            hasher.update(np.asarray(self._nodes, dtype=np.int64).tobytes())
-            edges = sorted(
-                (min(u, v), max(u, v), w)
-                for u, v, w in self.topology.graph.edges(data="latency_ms"))
-            for u, v, w in edges:
-                hasher.update(np.asarray(u, dtype=np.int64).tobytes())
-                hasher.update(np.asarray(v, dtype=np.int64).tobytes())
-                hasher.update(np.float64(w).tobytes())
-            self._digest = hasher.hexdigest()
+            self._digest = graph_digest(self.topology)
         return self._digest
 
-    def _warm_cache_path(self, sources: List[RouterId]) -> str:
-        hasher = hashlib.sha256()
-        hasher.update(self.topology_digest().encode())
-        hasher.update(np.asarray(sources, dtype=np.int64).tobytes())
-        return os.path.join(self.cache_dir,
-                            f"pathengine-{hasher.hexdigest()[:32]}.npy")
-
-    def warm(self, routers: Sequence[RouterId]) -> bool:
+    def warm(self, routers: Sequence[RouterId]) -> None:
         """Precompute the rows of a whole source universe in one batch.
 
         Called once per audit, before the worker pool forks, with every
-        router a measurement could use as its canonical source.  With a
-        cache directory configured the ``(n_sources, n_routers)`` matrix
-        is persisted and later runs memory-map it back (returns ``True``
-        on such a cache hit); the memmap pages are shared read-only
-        across every process that inherits the engine.
+        router a measurement could use as its canonical source; the
+        ``(n_sources, n_routers)`` matrix is shared copy-on-write with
+        every process that inherits the engine.
         """
         self._ensure_current()
         seen = set()
@@ -322,57 +302,30 @@ class PathEngine:
         sources.sort()
         for router in sources:
             self._index_of(router)          # validate before any I/O
-        if not sources:
-            return False
-        if self._warmed_already(sources):
+        if not sources or self._warmed_already(sources):
             # Every requested row is cached *and* reachable through the
             # fancy-index gather: repeated warming (one audit per figure,
             # all over the same fleet) is a true no-op instead of a full
             # multi-source Dijkstra per call.
-            return False
-        if self.cache_dir is None:
-            missing = [s for s in sources if s not in self._rows]
-            if len(missing) < len(sources):
-                # Partial warm: batch-compute only the missing trees and
-                # stitch the cached rows in.  Rows are pure functions of
-                # the topology, so reusing them is bit-identical to
-                # recomputing the whole matrix.
-                matrix = np.empty((len(sources), len(self._nodes)),
-                                  dtype=np.float64)
-                if missing:
-                    fresh = self._compute_rows(missing)
-                fresh_of = {s: i for i, s in enumerate(missing)}
-                for offset, source in enumerate(sources):
-                    at = fresh_of.get(source)
-                    matrix[offset] = (self._rows[source] if at is None
-                                      else fresh[at])
-            else:
-                matrix = self._compute_rows(sources)
-            self._adopt(sources, matrix)
-            return False
-        path = self._warm_cache_path(sources)
-        if os.path.exists(path):
-            matrix = np.load(path, mmap_mode="r")
-            if matrix.shape == (len(sources), len(self._nodes)):
-                self._adopt(sources, matrix)
-                return True
-            # Shape mismatch can only mean a digest collision; recompute.
-        matrix = self._compute_rows(sources)
-        tmp_path = None
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            handle, tmp_path = tempfile.mkstemp(dir=self.cache_dir,
-                                                suffix=".npy.tmp")
-            with os.fdopen(handle, "wb") as stream:
-                np.save(stream, matrix)
-            os.replace(tmp_path, path)
-        except OSError:
-            # Persistence is an optimisation; never fail the audit on a
-            # read-only or full cache directory.
-            if tmp_path is not None and os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+            return
+        missing = [s for s in sources if s not in self._rows]
+        if len(missing) < len(sources):
+            # Partial warm: batch-compute only the missing trees and
+            # stitch the cached rows in.  Rows are pure functions of the
+            # topology, so reusing them is bit-identical to recomputing
+            # the whole matrix.
+            matrix = np.empty((len(sources), len(self._nodes)),
+                              dtype=np.float64)
+            if missing:
+                fresh = self._compute_rows(missing)
+            fresh_of = {s: i for i, s in enumerate(missing)}
+            for offset, source in enumerate(sources):
+                at = fresh_of.get(source)
+                matrix[offset] = (self._rows[source] if at is None
+                                  else fresh[at])
+        else:
+            matrix = self._compute_rows(sources)
         self._adopt(sources, matrix)
-        return False
 
     def _warmed_already(self, sources: List[RouterId]) -> bool:
         """All sources cached and covered by the fancy-index gather?"""
@@ -391,8 +344,8 @@ class PathEngine:
         """One source's distances by an independent networkx Dijkstra.
 
         The sanitizer's cross-check oracle: pure Python over the same
-        graph and weights, sharing none of the CSR conversion, batching,
-        or memmap machinery whose failure it is meant to catch.
+        graph and weights, sharing none of the CSR conversion or batching
+        machinery whose failure it is meant to catch.
         """
         import networkx as nx
 

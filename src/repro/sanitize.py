@@ -15,8 +15,8 @@ analysis") otherwise only documents:
   comparison into ``False``);
 * **path engine** — each :meth:`PathEngine.warm` cross-checks one
   deterministically sampled source row against an independent networkx
-  Dijkstra sweep, so a torn memmap or stale warm-cache hit cannot feed
-  an audit wrong routed delays;
+  Dijkstra sweep, so a batching or CSR-conversion fault cannot feed an
+  audit wrong routed delays;
 * **checkpoints** — every journalled record is round-tripped through
   the JSON codec before it is written; a payload that cannot be read
   back bit-identically (e.g. a NaN observation) trips immediately

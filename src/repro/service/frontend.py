@@ -3,7 +3,12 @@
 Newline-delimited JSON over TCP: each request line is
 ``{"host": <hostname|host_id>, "claim": <country|null>}`` and each
 response line is a full :class:`~repro.service.verdict.VerdictResponse`
-serialisation plus the measured ``latency_ms``.
+serialisation plus the measured ``latency_ms``.  A request the service
+cannot answer gets ``{"error": <message>, "error_type": <kind>}``
+instead, the kind one of ``invalid_json``, ``not_an_object``,
+``missing_host``, ``unknown_host``, ``unknown_claim`` or ``internal``;
+a line longer than the stream limit (64 KiB) is answered once with
+``request_too_large`` and the connection is closed.
 
 The concurrency story is deliberately simple and bounded:
 
@@ -27,9 +32,64 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .verdict import VerdictResponse, VerdictService
+
+#: Bytes of an oversized line read past (to answer it cleanly) before
+#: the connection is dropped without waiting for its end.
+_SKIP_BUDGET = 1 << 20
+
+
+class RequestError(ValueError):
+    """A request line the service cannot answer; ``kind`` names why."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    An over-limit line raises :class:`RequestError` only after the rest
+    of it has been read past, so closing the connection afterwards
+    cannot reset the reply away with unread bytes.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    skipped = 0
+    while skipped < _SKIP_BUDGET:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as exc:
+            skipped += consumed
+            consumed = exc.consumed
+    raise RequestError("request_too_large",
+                       "request line exceeds the 64 KiB stream limit")
+
+
+def _parse_request(line: bytes) -> Tuple[Any, Any]:
+    """The ``(host, claim)`` of a request line, unvalidated."""
+    try:
+        request = json.loads(line)
+    except ValueError as exc:
+        raise RequestError("invalid_json",
+                           f"request is not JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise RequestError("not_an_object", "request must be a JSON object, "
+                           f"got {type(request).__name__}")
+    if "host" not in request:
+        raise RequestError("missing_host", "request has no \"host\" field")
+    return request["host"], request.get("claim")
 
 
 @dataclass
@@ -120,29 +180,55 @@ class ServiceFrontend:
 
     # -- TCP protocol ---------------------------------------------------------
 
+    def _check(self, target: Any, claim: Any) -> None:
+        """Reject a query the micro-batch it joins would fail on."""
+        try:
+            self.service.resolve_target(target)
+        except (KeyError, TypeError) as exc:
+            raise RequestError("unknown_host", str(exc)) from None
+        if claim is not None and (
+                not isinstance(claim, str)
+                or claim not in self.service.scenario.worldmap.registry):
+            raise RequestError("unknown_claim",
+                               f"unknown claimed country {claim!r}")
+
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
-        """One connection: a JSON request per line, a JSON verdict back."""
+        """One connection: a JSON request per line, a JSON verdict back.
+
+        Every request gets exactly one reply line; a bad request is
+        answered with a typed error (counted in ``stats.errors``) and
+        never reaches the batch queue, so it cannot fail the requests
+        it would have been batched with.
+        """
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
                 started = time.monotonic()
+                oversized = False
                 try:
-                    request = json.loads(line)
-                    target = request["host"]
-                    claim = request.get("claim")
+                    line = await _read_line(reader)
+                    if not line:
+                        break
+                    started = time.monotonic()
+                    target, claim = _parse_request(line)
+                    self._check(target, claim)
                     response = await self.enqueue((target, claim))
                     payload = json.loads(response.to_json())
+                except RequestError as exc:
+                    self.stats.errors += 1
+                    oversized = exc.kind == "request_too_large"
+                    payload = {"error": str(exc), "error_type": exc.kind}
                 except Exception as exc:  # noqa: BLE001 - sent to the client
                     self.stats.errors += 1
-                    payload = {"error": f"{type(exc).__name__}: {exc}"}
+                    payload = {"error": f"{type(exc).__name__}: {exc}",
+                               "error_type": "internal"}
                 payload["latency_ms"] = round(
                     (time.monotonic() - started) * 1e3, 3)
                 writer.write((json.dumps(payload, sort_keys=True) + "\n")
                              .encode())
                 await writer.drain()
+                if oversized:
+                    break
         except (asyncio.CancelledError, ConnectionResetError):
             pass  # server teardown mid-connection is a normal exit
         finally:

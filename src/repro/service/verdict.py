@@ -350,7 +350,7 @@ class VerdictService:
 
     def region_of(self, target: Target) -> Region:
         """The multilateration region for a target (measured if needed)."""
-        server = self._resolve_target(target)
+        server = self.resolve_target(target)
         self.verdict(server)
         measurement = self._measurements.peek(
             (server.host.host_id, self.epoch.digest))
@@ -464,10 +464,12 @@ class VerdictService:
             target, claim = query
         else:
             target, claim = query, None
-        server = self._resolve_target(target)
+        server = self.resolve_target(target)
         return server, claim if claim is not None else server.claimed_country
 
-    def _resolve_target(self, target: Target) -> ProxyServer:
+    def resolve_target(self, target: Target) -> ProxyServer:
+        """The fleet server a query target names (KeyError/TypeError if
+        none): a server, its fleet host id, or its hostname."""
         if isinstance(target, ProxyServer):
             return target
         if isinstance(target, int):

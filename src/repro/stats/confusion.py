@@ -72,13 +72,14 @@ class CooccurrenceMatrix(LabelMatrix):
         The diagonal counts how often each label appears at all; the
         off-diagonal (symmetric) counts how often two labels are covered
         by the *same* prediction — i.e. how often they are confusable.
+        Every label resolves before any count moves, so an unknown label
+        raises with the matrix untouched; the labels are unique, so the
+        one fancy-indexed add hits each cell at most once and the int64
+        counts stay exact.
         """
-        unique = sorted(set(covered))
-        for i, a in enumerate(unique):
-            self.increment(a, a)
-            for b in unique[i + 1:]:
-                self.increment(a, b)
-                self.increment(b, a)
+        index = np.array([self._idx(label) for label in sorted(set(covered))],
+                         dtype=np.intp)
+        self.counts[index[:, None], index] += 1     # the np.ix_ cross product
 
     def add_sets(self, sets: Iterable[Iterable[str]]) -> "CooccurrenceMatrix":
         """Record a stream of prediction coverages, one at a time.

@@ -12,6 +12,20 @@ from repro.experiments import cached_audit, default_scenario
 from repro.geo import CountryRegistry, Country, Grid, WorldMap
 
 
+@pytest.fixture(scope="session", autouse=True)
+def snapshot_dir(tmp_path_factory):
+    """Keep the suite's substrate snapshots in one per-session directory.
+
+    Without this every audit in the suite would read and write the
+    user's ``~/.cache/repro``, and a stale file there could decide which
+    code path a test exercises.
+    """
+    path = tmp_path_factory.mktemp("snapshots")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOT_DIR", str(path))
+        yield path
+
+
 @pytest.fixture(scope="session")
 def scenario():
     return default_scenario()

@@ -27,7 +27,7 @@ class TestRegistry:
     def test_known_knobs_present(self):
         names = {k.name for k in config.all_knobs()}
         assert {"REPRO_REGION_ENGINE", "REPRO_PATH_ENGINE",
-                "REPRO_PATHENGINE_CACHE", "REPRO_SANITIZE"} <= names
+                "REPRO_SNAPSHOT_DIR", "REPRO_SANITIZE"} <= names
 
     def test_unknown_knob_name_is_keyerror(self):
         with pytest.raises(KeyError, match="REPRO_NO_SUCH_KNOB"):
@@ -72,10 +72,10 @@ class TestParsing:
             config.env_value("REPRO_SANITIZE")
 
     def test_path_knob_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PATHENGINE_CACHE", "/tmp/warm")
-        assert config.env_value("REPRO_PATHENGINE_CACHE") == "/tmp/warm"
-        monkeypatch.delenv("REPRO_PATHENGINE_CACHE")
-        assert config.env_value("REPRO_PATHENGINE_CACHE") is None
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", "/tmp/warm")
+        assert config.env_value("REPRO_SNAPSHOT_DIR") == "/tmp/warm"
+        monkeypatch.delenv("REPRO_SNAPSHOT_DIR")
+        assert config.env_value("REPRO_SNAPSHOT_DIR") is None
 
     def test_int_knob_parses(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_SHARDS", "16")

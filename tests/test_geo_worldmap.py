@@ -2,9 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo import CONTINENTS, Grid, Region, WorldMap
 from repro.geodesy import SphericalDisk
+from repro.geodesy.greatcircle import haversine_km_vec
+
+
+def pairwise_min_km(grid, cells_a, cells_b):
+    """Oracle: the chunked all-pairs haversine sweep that
+    ``distance_to_country_km`` used to run."""
+    best = float("inf")
+    chunk = max(1, 4_000_000 // len(cells_b))
+    for start in range(0, len(cells_a), chunk):
+        part = cells_a[start:start + chunk]
+        distances = haversine_km_vec(
+            grid.cell_lats[part][:, None], grid.cell_lons[part][:, None],
+            grid.cell_lats[cells_b][None, :], grid.cell_lons[cells_b][None, :])
+        best = min(best, float(distances.min()))
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +157,33 @@ class TestRegionQueries:
         assert d_japan > 8000.0
         assert world.distance_to_country_km(Region.empty(world.grid), "FR") \
             == float("inf")
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=st.floats(-89.0, 89.0), lon=st.floats(-179.0, 179.0),
+           radius=st.floats(50.0, 4000.0), country=st.integers(0, 10_000))
+    def test_distance_matches_pairwise_sweep(self, world, lat, lon, radius,
+                                             country):
+        region = Region.from_disk(world.grid, SphericalDisk(lat, lon, radius))
+        iso2 = world.countries()[country % len(world.countries())].iso2
+        cells = np.flatnonzero(
+            world.country_raster == world.registry.index_of(iso2))
+        got = world.distance_to_country_km(region, iso2)
+        if region.is_empty or world.covers_country(region, iso2):
+            return
+        assert got == pairwise_min_km(world.grid, region.cell_indices(), cells)
+
+    @settings(max_examples=30, deadline=None)
+    @given(resolution=st.sampled_from([4.0, 2.0, 1.0, 180 / 19]),
+           data=st.data())
+    def test_cell_distance_matches_pairwise_sweep(self, resolution, data):
+        from repro.geo.worldmap import _min_cell_distance_km
+        grid = Grid(resolution_deg=resolution)
+        cells = st.lists(st.integers(0, grid.n_cells - 1), min_size=1,
+                         max_size=400, unique=True).map(sorted)
+        cells_a = np.array(data.draw(cells), dtype=np.int64)
+        cells_b = np.array(data.draw(cells), dtype=np.int64)
+        assert _min_cell_distance_km(grid, cells_a, cells_b) == \
+            pairwise_min_km(grid, cells_a, cells_b)
 
 
 class TestSampling:

@@ -2,14 +2,14 @@
 
 The engine's contract is strict: every routed delay it returns must be
 bit-identical to the per-source networkx oracle it replaces, whatever
-mix of scalar, batched, warmed, or memmapped lookups produced it.
+mix of scalar, batched, or warmed lookups produced it.
 """
 
 import numpy as np
 import pytest
 
 from repro.netsim import HostFactory, Network, Unreachable, build_cities, build_topology
-from repro.netsim.pathengine import CACHE_ENV, ENGINE_ENV, HAVE_SCIPY, PathEngine
+from repro.netsim.pathengine import ENGINE_ENV, HAVE_SCIPY, PathEngine
 
 pytestmark = pytest.mark.skipif(not HAVE_SCIPY, reason="engine needs scipy")
 
@@ -169,42 +169,3 @@ class TestRowCache:
         assert newest in network._sssp_cache
         assert routers[8] in network._sssp_cache
         assert len(network._sssp_cache) == 5
-
-
-class TestMemmapCache:
-    def test_hit_is_bit_identical_to_miss(self, topology, routers, tmp_path):
-        cache_dir = str(tmp_path / "pathcache")
-        first = PathEngine(topology, cache_dir=cache_dir)
-        assert first.warm(routers) is False          # cold: computes + persists
-        second = PathEngine(topology, cache_dir=cache_dir)
-        assert second.warm(routers) is True          # warm: memmaps back
-        for router in routers:
-            assert np.array_equal(first.distances_from(router),
-                                  second.distances_from(router))
-        rng = np.random.default_rng(17)
-        a_list = [routers[i] for i in rng.integers(0, len(routers), 100)]
-        b_list = [routers[i] for i in rng.integers(0, len(routers), 100)]
-        assert np.array_equal(first.path_pairs_ms(a_list, b_list),
-                              second.path_pairs_ms(a_list, b_list))
-
-    def test_cache_env_wires_directory(self, topology, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        network = Network(topology, seed=0, path_engine="csr")
-        assert network._engine.cache_dir == str(tmp_path)
-        network.warm_paths([])          # no hosts: no-op, no crash
-        monkeypatch.delenv(CACHE_ENV)
-        assert PathEngine(topology).cache_dir is None
-
-    def test_different_source_sets_use_different_files(self, topology,
-                                                       routers, tmp_path):
-        engine = PathEngine(topology, cache_dir=str(tmp_path))
-        engine.warm(routers[:10])
-        engine.warm(routers[:20])
-        files = list(tmp_path.glob("pathengine-*.npy"))
-        assert len(files) == 2
-
-    def test_unwritable_cache_dir_does_not_fail(self, topology, routers):
-        engine = PathEngine(topology,
-                            cache_dir="/proc/definitely/not/writable")
-        engine.warm(routers[:5])        # falls back to in-memory rows
-        assert engine.n_rows >= 5

@@ -408,6 +408,72 @@ class TestFrontend:
         assert verdict["region_sha256"] == expected["region_sha256"]
         assert verdict["latency_ms"] >= 0
         assert "error" in error
+        assert error["error_type"] == "invalid_json"
+
+    def test_bad_requests_get_typed_errors(self, service, fleet):
+        lines = [b"[1, 2]\n", b'{"claim": "DE"}\n',
+                 b'{"host": "no-such-host"}\n', b'"just a string"\n',
+                 json.dumps({"host": fleet[0].hostname,
+                             "claim": "ZZ"}).encode() + b"\n",
+                 json.dumps({"host": fleet[0].hostname}).encode() + b"\n"]
+
+        async def run():
+            frontend = ServiceFrontend(service, queue_max=8)
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(
+                frontend.serve(host="127.0.0.1", port=0, ready=ready))
+            await ready.wait()
+            reader, writer = await asyncio.open_connection(
+                *frontend.bound[:2])
+            writer.write(b"".join(lines))
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in lines]
+            writer.close()
+            server_task.cancel()
+            frontend.close()
+            return frontend.stats, replies
+
+        stats, replies = asyncio.run(run())
+        assert [reply.get("error_type") for reply in replies] == [
+            "not_an_object", "missing_host", "unknown_host",
+            "not_an_object", "unknown_claim", None]
+        assert replies[-1]["hostname"] == fleet[0].hostname
+        assert stats.errors == 5 and stats.responses == 1
+
+    def test_oversized_line_answered_then_closed(self, service, fleet):
+        """A 70 KiB line overruns asyncio's 64 KiB stream limit: it gets
+        one typed error and a closed connection, and the drainer keeps
+        answering other connections."""
+        hostname = fleet[1].hostname
+
+        async def run():
+            frontend = ServiceFrontend(service, queue_max=8)
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(
+                frontend.serve(host="127.0.0.1", port=0, ready=ready))
+            await ready.wait()
+            address = frontend.bound[:2]
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(b'{"host": "' + b"x" * (70 * 1024) + b'"}\n')
+            await writer.drain()
+            error = json.loads(await reader.readline())
+            after = await reader.read()           # the server closed
+            writer.close()
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(json.dumps({"host": hostname}).encode() + b"\n")
+            await writer.drain()
+            verdict = json.loads(await reader.readline())
+            writer.close()
+            server_task.cancel()
+            frontend.close()
+            return frontend.stats, error, after, verdict
+
+        stats, error, after, verdict = asyncio.run(run())
+        assert error["error_type"] == "request_too_large"
+        assert after == b""
+        assert verdict["hostname"] == hostname
+        assert verdict["verdict"] == service.verdict(hostname).verdict
+        assert stats.errors == 1 and stats.responses == 1
 
 
 # -- cache introspection ------------------------------------------------------

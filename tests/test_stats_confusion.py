@@ -1,8 +1,23 @@
 """Tests for co-occurrence and confusion matrices."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stats import ConfusionMatrix, CooccurrenceMatrix, LabelMatrix
+
+LABELS = [f"L{i}" for i in range(12)]
+
+
+def add_set_reference(matrix, covered):
+    """The original pair loop: the oracle for the vectorised add_set."""
+    unique = sorted(set(covered))
+    for i, a in enumerate(unique):
+        matrix.increment(a, a)
+        for b in unique[i + 1:]:
+            matrix.increment(a, b)
+            matrix.increment(b, a)
 
 
 class TestLabelMatrix:
@@ -74,6 +89,27 @@ class TestCooccurrence:
     def test_confusability_of_absent_label(self):
         matrix = CooccurrenceMatrix(["a", "b"])
         assert matrix.confusability("a", "b") == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(LABELS), max_size=9),
+                    max_size=12))
+    def test_add_set_matches_pair_loop(self, sets):
+        fast = CooccurrenceMatrix(LABELS)
+        slow = CooccurrenceMatrix(LABELS)
+        for covered in sets:
+            fast.add_set(covered)
+            add_set_reference(slow, covered)
+        assert fast.counts.dtype == np.int64
+        assert np.array_equal(fast.counts, slow.counts)
+
+    @given(st.lists(st.sampled_from(LABELS), max_size=6))
+    def test_unknown_label_leaves_counts_untouched(self, covered):
+        matrix = CooccurrenceMatrix(LABELS)
+        matrix.add_set(["L0", "L1"])
+        before = matrix.counts.copy()
+        with pytest.raises(KeyError, match="unknown label 'nope'"):
+            matrix.add_set(covered + ["nope"])
+        assert np.array_equal(matrix.counts, before)
 
 
 class TestConfusionMatrix:
