@@ -15,12 +15,13 @@ Two baselines anchor the gates:
   packed regions) ran it in ~0.30 s — the committed BENCH_perf.json
   minimum this branch was developed against.
 
-The fleet engine (``REPRO_AUDIT_ENGINE=fleet``) must beat the PR 4
-number by ``FLEET_REQUIRED_SPEEDUP`` and stay under the absolute
-``FLEET_BUDGET_S``.  ``test_perf_fleet_scaling_1k`` additionally drives
-``predict_fleet`` over 1000 synthetic servers and holds the *marginal*
-per-server cost flat (catching bank-eviction thrash or any per-fleet
-superlinearity) under a tracemalloc memory budget.
+The audit's measurement kernel (one ``predict_fleet`` sweep per chunk)
+must beat the per-server baseline by ``FLEET_REQUIRED_SPEEDUP`` and
+stay under the absolute ``FLEET_BUDGET_S``.  ``test_perf_fleet_scaling_1k``
+additionally drives ``predict_fleet`` over 1000 synthetic servers and
+holds the *marginal* per-server cost flat (catching bank-eviction
+thrash or any per-fleet superlinearity) under a tracemalloc memory
+budget.
 """
 
 import time

@@ -1,8 +1,10 @@
 """Performance benchmarks of the batched shortest-path engine.
 
 The acceptance bar for the path-engine optimisation is a >= 4x cold
-speedup over the per-source pure-Python networkx oracle **on the
-workload the engine replaces**: resolving the fleet-wide base-RTT floor
+speedup over the per-source pure-Python networkx oracle
+(``tests.oracles.NetworkxPathEngine``, swapped into a ``Network``
+through its ``engine`` attribute) **on the workload the engine
+replaces**: resolving the fleet-wide base-RTT floor
 matrix (every landmark, server, and client source against every host)
 from a cold cache.  ``test_perf_cold_fleet_floors_speedup`` times both
 engines on that workload *in the same run* — no stored baselines, so a
@@ -13,19 +15,22 @@ draws, the distance bank, and assessment are engine-independent), so the
 full cold ``default_scenario()`` + audit pipeline cannot speed up by the
 oracle's full factor.  ``test_perf_cold_pipeline_engines`` holds the
 honest contract there: the CSR engine is never slower than the networkx
-fallback (modest tolerance for timer noise), produces bit-identical
+oracle (modest tolerance for timer noise), produces bit-identical
 results, and the whole cold pipeline stays within a generous absolute
-budget so a pathological regression still fails loudly.
+budget so a pathological regression still fails loudly.  Each side gets
+its own fresh, unmemoised scenario build.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from repro.experiments import default_scenario, run_audit
+from repro.experiments import run_audit
+from repro.experiments.scenario import (SMALL_ANCHOR_QUOTAS,
+                                        SMALL_CROWD_QUOTAS,
+                                        SMALL_PROBE_QUOTAS, build_scenario)
 from repro.netsim.network import Network
-from repro.netsim.pathengine import HAVE_SCIPY
+from tests.oracles import NetworkxPathEngine
 
 #: The optimisation acceptance bar on the oracle workload (cold
 #: fleet-wide base-RTT floors, CSR vs networkx, same run).
@@ -36,8 +41,13 @@ REQUIRED_ORACLE_SPEEDUP = 4.0
 #: falling back to quadratic work) can breach it.
 COLD_PIPELINE_BUDGET_S = 60.0
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="CSR engine needs scipy; nothing to compare")
+
+def _network(topology, mode):
+    """A fresh network on the CSR engine, or on the networkx oracle."""
+    network = Network(topology, seed=0)
+    if mode == "networkx":
+        network.engine = NetworkxPathEngine(topology)
+    return network
 
 
 def _fleet(scenario):
@@ -50,7 +60,7 @@ def _fleet(scenario):
 
 def _cold_floors(topology, sources, targets, mode):
     """The full fleet floor matrix from a cold cache in one engine mode."""
-    network = Network(topology, seed=0, path_engine=mode)
+    network = _network(topology, mode)
     network.warm_paths(sources + targets)
     return np.vstack([network.base_rtt_matrix(source, targets)
                       for source in sources])
@@ -87,13 +97,19 @@ def test_perf_cold_fleet_floors_speedup(benchmark, scenario):
 def _cold_pipeline(mode, snapshot_dir, monkeypatch):
     """One cold scenario build plus a 60-server audit slice.
 
-    Cold means cold all the way down: the run gets an empty substrate
-    snapshot directory, so no mesh-ping archive from an earlier run can
-    be loaded.
+    Cold means cold all the way down: a fresh ``default_scenario()``-
+    sized build (no memoised scenario), and an empty substrate snapshot
+    directory, so no mesh-ping archive from an earlier run can be
+    loaded.  Building computes no routed delay, so swapping the engine
+    in right after the build routes every delay through it.
     """
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(snapshot_dir))
     start = time.perf_counter()
-    scenario = default_scenario(seed=0, path_engine=mode)
+    scenario = build_scenario(
+        seed=0, proxy_scale=0.35, anchor_quotas=SMALL_ANCHOR_QUOTAS,
+        probe_quotas=SMALL_PROBE_QUOTAS, crowd_quotas=SMALL_CROWD_QUOTAS)
+    if mode == "networkx":
+        scenario.network.engine = NetworkxPathEngine(scenario.topology)
     result = run_audit(scenario, max_servers=60, seed=0)
     return time.perf_counter() - start, result
 
@@ -110,8 +126,8 @@ def test_perf_cold_pipeline_engines(tmp_path, monkeypatch):
     assert engine_s <= COLD_PIPELINE_BUDGET_S, (
         f"cold pipeline took {engine_s:.1f}s; budget is "
         f"{COLD_PIPELINE_BUDGET_S:.0f}s")
-    # The engine must never make the pipeline slower than the fallback;
+    # The engine must never make the pipeline slower than the oracle;
     # 15% headroom absorbs timer noise on shared CI runners.
     assert engine_s <= oracle_s * 1.15, (
         f"cold pipeline: csr {engine_s:.1f}s vs networkx {oracle_s:.1f}s "
-        f"— the CSR engine should never lose to the fallback")
+        f"— the CSR engine should never lose to the oracle")

@@ -4,14 +4,14 @@ Every runtime switch the reproduction honours is declared here — name,
 type, default, allowed values, and a docstring — and read through
 :func:`env_value`.  Reading a ``REPRO_*`` variable anywhere else is a
 ``reprolint`` R003 violation: scattering ``os.environ`` reads is how a
-typo'd knob silently falls back to a default and quietly changes which
-engine produced a fleet's verdicts.
+typo'd knob silently falls back to a default and quietly changes how a
+fleet was audited.
 
 The registry enforces three things the scattered reads never did:
 
 * **unknown knob values are a hard error at read time** — setting
-  ``REPRO_REGION_ENGINE=typo`` raises :class:`KnobError` listing the
-  allowed values instead of silently picking an engine;
+  ``REPRO_SERVICE_BATCH_MAX=lots`` raises :class:`KnobError` naming the
+  allowed form instead of silently falling back to a default;
 * **an empty string means unset** for every knob (the shell idiom
   ``REPRO_X= cmd`` clears a knob rather than smuggling ``""`` in as a
   value), consistently across knobs;
@@ -20,8 +20,8 @@ The registry enforces three things the scattered reads never did:
   table is generated from :func:`knob_table_markdown`.
 
 The module deliberately has no repro-internal imports so any module —
-including :mod:`repro.geo.region` at the bottom of the dependency
-graph — can use it without cycles.
+including :mod:`repro.sanitize` at the bottom of the dependency graph —
+can use it without cycles.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-#: Values a knob read can produce: choice/path knobs yield strings (path
-#: knobs ``None`` when unset), flag knobs yield booleans, int knobs yield
-#: non-negative integers.
+#: Values a knob read can produce: path knobs yield strings (``None`` when
+#: unset), flag knobs yield booleans, int knobs yield non-negative
+#: integers.
 KnobValue = Union[str, bool, int, None]
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
@@ -47,27 +47,20 @@ class KnobError(ValueError):
 class Knob:
     """Declaration of one ``REPRO_*`` environment knob.
 
-    ``kind`` is one of ``"choice"`` (value must be one of ``choices``),
-    ``"flag"`` (boolean words), ``"path"`` (any non-empty string,
-    ``None`` when unset), or ``"int"`` (a non-negative integer).
+    ``kind`` is one of ``"flag"`` (boolean words), ``"path"`` (any
+    non-empty string, ``None`` when unset), or ``"int"`` (a non-negative
+    integer).
     """
 
     name: str
     kind: str
     default: KnobValue
     doc: str
-    choices: Optional[Tuple[str, ...]] = None
 
     def parse(self, raw: Optional[str]) -> KnobValue:
         """Parse a raw environment string (``None``/empty = unset)."""
         if raw is None or raw == "":
             return self.default
-        if self.kind == "choice":
-            assert self.choices is not None
-            if raw not in self.choices:
-                raise KnobError(
-                    f"{self.name} must be one of {self.choices}, got {raw!r}")
-            return raw
         if self.kind == "flag":
             lowered = raw.lower()
             if lowered in _TRUE_WORDS:
@@ -96,9 +89,6 @@ class Knob:
 
     def allowed_text(self) -> str:
         """Human-readable allowed-values column for the README table."""
-        if self.kind == "choice":
-            assert self.choices is not None
-            return " / ".join(f"`{choice}`" for choice in self.choices)
         if self.kind == "flag":
             return "`0` / `1`"
         if self.kind == "int":
@@ -125,24 +115,6 @@ def _register(knob: Knob) -> Knob:
     return knob
 
 
-REGION_ENGINE = _register(Knob(
-    name="REPRO_REGION_ENGINE",
-    kind="choice",
-    default="packed",
-    choices=("packed", "bool"),
-    doc="Region representation: packed uint64 bitsets (the native "
-        "engine) or the historical boolean-mask reference.",
-))
-
-PATH_ENGINE = _register(Knob(
-    name="REPRO_PATH_ENGINE",
-    kind="choice",
-    default="csr",
-    choices=("csr", "networkx"),
-    doc="Routed-delay oracle: the batched scipy CSR engine or the "
-        "per-source pure-Python networkx Dijkstra fallback.",
-))
-
 SNAPSHOT_DIR = _register(Knob(
     name="REPRO_SNAPSHOT_DIR",
     kind="path",
@@ -152,16 +124,6 @@ SNAPSHOT_DIR = _register(Knob(
         "audits, campaign shards and `repro serve --warm` reuse across "
         "processes; unset means `$XDG_CACHE_HOME/repro`, else "
         "`~/.cache/repro`.",
-))
-
-AUDIT_ENGINE = _register(Knob(
-    name="REPRO_AUDIT_ENGINE",
-    kind="choice",
-    default="fleet",
-    choices=("fleet", "perserver"),
-    doc="Fleet-audit multilateration engine: one vectorised NumPy pass "
-        "over all servers at once (the native engine) or the historical "
-        "per-server Python pipeline; both emit byte-identical records.",
 ))
 
 CAMPAIGN_SHARDS = _register(Knob(
@@ -255,13 +217,6 @@ def env_value(name: str) -> KnobValue:
     """
     declared = knob(name)
     return declared.parse(os.environ.get(name))
-
-
-def is_set(name: str) -> bool:
-    """Was the knob explicitly set (to a non-empty string)?"""
-    knob(name)  # unknown names are programming errors, not "unset"
-    raw = os.environ.get(name)
-    return raw is not None and raw != ""
 
 
 def snapshot_dir() -> str:

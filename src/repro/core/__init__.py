@@ -48,8 +48,8 @@ from .colocation import (
 )
 from .disambiguation import (
     AuditRecord,
+    Disambiguator,
     disambiguate_by_datacenters,
-    disambiguate_by_metadata,
     group_by_metadata,
     metadata_group_key,
     refine_assessments,
@@ -131,8 +131,8 @@ __all__ = [
     "assess_claim",
     "bayesian_region",
     "collect_eta_data",
+    "Disambiguator",
     "disambiguate_by_datacenters",
-    "disambiguate_by_metadata",
     "estimate_eta",
     "group_by_metadata",
     "intersect_disks",

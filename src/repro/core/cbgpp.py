@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..geo.region import Region, region_engine
+from ..geo.region import Region
 from .base import Prediction
 from .cbg import CBG
 from .fleetpanel import build_fleet_panel
@@ -67,19 +67,14 @@ class CBGPlusPlus(CBG):
         # Both disk families share centres — only radii differ — so one
         # fused pass over the bank's block aggregates yields the AND of
         # all baseline disks *and* the AND of all disks at once, emitted
-        # straight in the engine's native representation.
+        # straight as packed words.
         best_radii = self.disk_radii_km(names, delays).astype(np.float32)
         base_radii = self.baseline_radii_km(delays).astype(np.float32)
         joint_radii = np.minimum(base_radii, best_radii)
-        packed = region_engine() == "packed"
         families = grid.bank.disk_intersections(
-            lats, lons, np.stack([base_radii, joint_radii]), packed=packed)
-        if packed:
-            base_and = Region.from_words(grid, families[0])
-            joint_and: Optional[Region] = Region.from_words(grid, families[1])
-        else:
-            base_and = Region(grid, families[0])
-            joint_and = Region(grid, families[1])
+            lats, lons, np.stack([base_radii, joint_radii]), packed=True)
+        base_and = Region.from_words(grid, families[0])
+        joint_and: Optional[Region] = Region.from_words(grid, families[1])
 
         # Tier 1: the baseline region — largest consistent family of
         # physically-maximal disks.  The plain AND answers the common
@@ -175,7 +170,6 @@ class CBGPlusPlus(CBG):
         best_radii = panel.pad_radii(best_rows)
         base_radii = panel.pad_radii(base_rows)
         joint_radii = np.minimum(base_radii, best_radii)
-        packed = region_engine() == "packed"
         grid = self.grid
         # Only the joint family needs the fleet sweep: every joint disk
         # sits inside its baseline disk, so a non-empty joint AND proves
@@ -184,14 +178,11 @@ class CBGPlusPlus(CBG):
         # disks, or the rare coastal region that clipping empties) re-run
         # the scalar pipeline, which *is* the definition of the result.
         family = grid.bank.disk_intersections_fleet(
-            panel.rows, joint_radii[None], packed=packed)[0]
+            panel.rows, joint_radii[None], packed=True)[0]
         # The terrain clip is one fleet-wide AND against the plausibility
-        # bitset — the same words/mask ``_clip`` ANDs per region — so the
+        # bitset — the same words ``_clip`` ANDs per region — so the
         # per-server loop below only wraps the rows that survived.
-        if packed:
-            clipped = family & self.worldmap.plausibility_words[None, :]
-        else:
-            clipped = family & self.worldmap.plausibility_mask[None, :]
+        clipped = family & self.worldmap.plausibility_words[None, :]
         joint_nonempty = family.any(axis=1)
         clip_nonempty = clipped.any(axis=1)
         results: List[Prediction] = []
@@ -199,11 +190,9 @@ class CBGPlusPlus(CBG):
             if not (joint_nonempty[s] and clip_nonempty[s]):
                 results.append(self.predict(observations))
                 continue
-            region = (Region.from_words(grid, clipped[s]) if packed
-                      else Region(grid, clipped[s]))
             results.append(Prediction(
                 algorithm=self.name,
-                region=region,
+                region=Region.from_words(grid, clipped[s]),
                 used_landmarks=[obs.landmark_name for obs in observations],
                 discarded_landmarks=[],
             ))

@@ -17,12 +17,11 @@ Both refinements convert ``UNCERTAIN`` verdicts into ``CREDIBLE`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geo.datacenters import DataCenterRegistry
 from ..geo.region import Region
-from ..geo.worldmap import WorldMap
 from ..netsim.proxies import ProxyServer
 from .assessment import ClaimAssessment, Verdict
 
@@ -89,44 +88,77 @@ def disambiguate_by_datacenters(records: Sequence[AuditRecord],
     return reclassified
 
 
-def disambiguate_by_metadata(records: Sequence[AuditRecord],
-                             worldmap: WorldMap) -> int:
-    """Apply the shared-prefix heuristic to co-located proxy groups.
+class Disambiguator:
+    """Both refinement passes, one record at a time.
 
-    For each metadata group of at least two proxies, compute the set of
-    countries covered by *every* member's region.  If exactly one country
-    survives, every still-uncertain member is ascribed to it.
-
-    Returns the number of records reclassified.
+    :meth:`accept` applies the data-centre pass to the record — it
+    touches only that record, so it commutes — and folds the countries
+    the record's region covers into its metadata group's running
+    intersection.  A record still uncertain after that is held, as a
+    skeleton without region, observations and landmark names, until
+    :meth:`close` runs the metadata pass over the held records with the
+    completed intersections: a group of at least two co-located proxies
+    whose regions all cover exactly one common country pins its
+    uncertain members to that country.  The outcome does not depend on
+    record order, and memory holds only the uncertain skeletons — which
+    is what lets a campaign refine a fleet it never materialises.
     """
-    reclassified = 0
-    for group in group_by_metadata(records).values():
-        if len(group) < 2:
-            continue
-        common: Optional[set] = None
-        for record in group:
-            covered = set(record.assessment.countries_covered)
-            common = covered if common is None else (common & covered)
-            if not common:
-                break
-        if not common or len(common) != 1:
-            continue
-        resolved = next(iter(common))
-        for record in group:
-            if record.assessment.verdict is Verdict.UNCERTAIN:
-                _reclassify(record.assessment, resolved, "metadata")
-                reclassified += 1
-    return reclassified
+
+    def __init__(self, datacenters: DataCenterRegistry) -> None:
+        self._datacenters = datacenters
+        #: Metadata group key -> [members, countries every member covers].
+        self._groups: Dict[Tuple[str, int, str], list] = {}
+        self._held: List[AuditRecord] = []
+        self.by_datacenter = 0
+        self.by_metadata = 0
+
+    def accept(self, record: AuditRecord) -> bool:
+        """Refine one record as far as it alone allows.
+
+        Returns False when the record is still uncertain and held for
+        :meth:`close`.  The held skeleton shares the record's assessment,
+        so :meth:`close` also updates the record itself.
+        """
+        self.by_datacenter += disambiguate_by_datacenters(
+            [record], self._datacenters)
+        covered = set(record.assessment.countries_covered)
+        key = metadata_group_key(record.server)
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = [1, covered]
+        else:
+            group[0] += 1
+            group[1] &= covered
+        if record.assessment.verdict is Verdict.UNCERTAIN:
+            self._held.append(replace(record, region=None, observations=None,
+                                      landmark_names=None))
+            return False
+        return True
+
+    def close(self) -> List[AuditRecord]:
+        """Run the metadata pass; return the held records, now final."""
+        for record in self._held:
+            members, common = self._groups[metadata_group_key(record.server)]
+            if members >= 2 and len(common) == 1:
+                _reclassify(record.assessment, next(iter(common)), "metadata")
+                self.by_metadata += 1
+        held, self._held = self._held, []
+        return held
+
+    def counts(self) -> Dict[str, int]:
+        """Reclassifications so far, by pass."""
+        return {
+            "datacenter": self.by_datacenter,
+            "metadata": self.by_metadata,
+            "total": self.by_datacenter + self.by_metadata,
+        }
 
 
 def refine_assessments(records: Sequence[AuditRecord],
-                       datacenters: DataCenterRegistry,
-                       worldmap: WorldMap) -> Dict[str, int]:
+                       datacenters: DataCenterRegistry) -> Dict[str, int]:
     """Run both disambiguation passes; return reclassification counts."""
-    by_datacenter = disambiguate_by_datacenters(records, datacenters)
-    by_metadata = disambiguate_by_metadata(records, worldmap)
-    return {
-        "datacenter": by_datacenter,
-        "metadata": by_metadata,
-        "total": by_datacenter + by_metadata,
-    }
+    passes = Disambiguator(datacenters)
+    for record in records:
+        passes.accept(record)
+    passes.close()
+    return passes.counts()

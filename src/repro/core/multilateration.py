@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geo.grid import Grid
-from ..geo.region import Region, pack_bits, region_engine, unpack_bits
+from ..geo.region import Region, pack_bits, unpack_bits
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,18 @@ def intersect_disk_fields(grid: Grid, lats: Sequence[float],
     coarse blocks strictly inside (or outside) every disk are settled
     from precomputed block aggregates, and only cells near some disk
     boundary are compared exactly — bit-identical to rasterising each
-    disk over the full grid, at a fraction of the memory traffic.  Under
-    the packed engine the kernel emits uint64 words that the region
-    adopts without ever materialising a boolean row.
+    disk over the full grid, at a fraction of the memory traffic.  The
+    kernel emits uint64 words that the region adopts without ever
+    materialising a boolean row.
     """
     if len(lats) == 0:
         raise ValueError("no disks to intersect")
     radii = np.asarray(radii, dtype=np.float32)
     if (radii < 0).any():
         raise ValueError("negative disk radius")
-    if region_engine() == "packed":
-        words = grid.bank.disk_intersections(
-            lats, lons, radii[None, :], packed=True)[0]
-        return Region.from_words(grid, words)
-    mask = grid.bank.disk_intersections(lats, lons, radii[None, :])[0]
-    return Region(grid, mask)
+    words = grid.bank.disk_intersections(
+        lats, lons, radii[None, :], packed=True)[0]
+    return Region.from_words(grid, words)
 
 
 def intersect_disks(grid: Grid, disks: Sequence[DiskConstraint]) -> Region:
@@ -94,8 +91,8 @@ def intersect_rings(grid: Grid, rings: Sequence[RingConstraint]) -> Region:
     """Quasi-Octant multilateration: the AND of every annulus.
 
     The bank AND-reduces ring by ring, so the historical ``(k, n_cells)``
-    boolean matrix is never materialised; under the packed engine the
-    reduced row is emitted directly as uint64 words.
+    boolean matrix is never materialised; the reduced row is emitted
+    directly as uint64 words.
     """
     if not rings:
         raise ValueError("no rings to intersect")
@@ -104,10 +101,8 @@ def intersect_rings(grid: Grid, rings: Sequence[RingConstraint]) -> Region:
     lons = [r.lon for r in rings]
     inner = [r.inner_km for r in rings]
     outer = [r.outer_km for r in rings]
-    if region_engine() == "packed":
-        return Region.from_words(
-            grid, bank.ring_intersection(lats, lons, inner, outer, packed=True))
-    return Region(grid, bank.ring_intersection(lats, lons, inner, outer))
+    return Region.from_words(
+        grid, bank.ring_intersection(lats, lons, inner, outer, packed=True))
 
 
 def mode_region_from_votes(grid: Grid, votes: np.ndarray,

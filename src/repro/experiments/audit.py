@@ -4,6 +4,12 @@ For every proxy server: estimate the client→proxy leg (η-adapted
 self-ping), run the two-phase measurement through the tunnel, multilaterate
 with CBG++, assess the provider's country claim, then refine uncertain
 verdicts with data-centre and metadata disambiguation.
+
+The measurement step is one kernel, :func:`measure_chunk`, run over
+chunks of servers by one executor, :func:`run_chunks` (in process or on
+a fork pool).  Audits, campaign shards and the verdict service
+(:mod:`repro.service.verdict`) all measure through it, so an audit
+record and a live verdict come from the same code.
 """
 
 from __future__ import annotations
@@ -11,26 +17,30 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
-                    Sequence)
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Protocol, Sequence, Set, Tuple, Union)
 
 import numpy as np
 
-from ..core.assessment import ClaimAssessment, Verdict, assess_claim
+from ..core.assessment import Verdict, assess_claim
 from ..core.base import GeolocationAlgorithm
 from ..core.cbgpp import CBGPlusPlus
 from ..core.disambiguation import AuditRecord, refine_assessments
+from ..core.observations import RttObservation
 from ..core.proxy_adapter import EtaEstimate, ProxyMeasurer, estimate_eta
+from ..core.resilience import RetryPolicy
 from ..core.twophase import (
     MIN_MULTILATERATION_OBSERVATIONS,
     TwoPhaseDriver,
+    TwoPhaseMeasurement,
     TwoPhaseResult,
     TwoPhaseSelector,
 )
-from .. import config
+from ..geo.grid import Grid
 from ..geo.region import Region
 from ..lrucache import CacheInfo, LruCache
+from ..netsim.atlas import Landmark
 from ..netsim.faults import (
     FaultInjector,
     FaultProfile,
@@ -186,172 +196,208 @@ class AuditResult:
         return RecordTally().extend(self.records).ground_truth_accuracy()
 
 
-#: Shared state for forked audit workers.  Set immediately before the
-#: pool is created so the fork snapshot carries it; the children read it,
-#: the parent clears it once the pool is done.
-_FORK_STATE: Optional[tuple] = None
+class MeasureContext(NamedTuple):
+    """What the measurement kernel needs besides the servers.
+
+    One audit's, or one service epoch's, fixed setup.  It reaches forked
+    workers through the fork snapshot (see :func:`run_chunks`), never by
+    pickling.
+    """
+
+    scenario: Scenario
+    driver: TwoPhaseDriver
+    #: The campaign-level η the client leg is estimated with.
+    eta: float
+    seed: int
+    #: Installed around every chunk; None measures fault-free.
+    injector: Optional[FaultInjector]
+    retry_policy: Optional[RetryPolicy] = None
+    #: Landmark names dropped at probe time, after panel selection.
+    quarantined: FrozenSet[str] = frozenset()
 
 
-def _audit_one(scenario: Scenario, driver: TwoPhaseDriver,
-               server: ProxyServer, eta: EtaEstimate, seed: int):
-    """Locate one proxy and assess its claim.
+def _collect(context: MeasureContext, server: ProxyServer
+             ) -> Tuple[Union[TwoPhaseMeasurement, MeasurementFailed],
+                        Set[str]]:
+    """Measure one proxy without multilaterating it.
 
     The measurement stream is keyed by ``(seed, host_id)`` — independent
-    of fleet order and of which process runs the server — which is what
-    makes serial, parallel, and resumed-from-checkpoint audits
-    bit-identical.  A proxy whose tunnel never answers (the paper's
-    servers that dropped mid-campaign) yields a degraded UNLOCATABLE
-    record rather than an exception.
+    of fleet order, of the chunk the server lands in and of the process
+    that runs it — which is what makes serial, parallel, resumed and
+    served measurements bit-identical.  The probe callback records every
+    landmark name the driver asks for (the measurement's dependency set)
+    and drops quarantined names only then, after panel selection, so the
+    panels and their RNG draws do not depend on the quarantine.  A
+    tunnel that never answers (the paper's servers that dropped
+    mid-campaign) comes back as the :class:`MeasurementFailed` itself.
     """
-    rng = np.random.default_rng((seed, server.host.host_id))
-    measurer = ProxyMeasurer(scenario.network, scenario.client, server,
-                             eta=eta.eta, seed=server.host.host_id)
-    with scenario.network.measurement_epoch_for(server.host):
+    network = context.scenario.network
+    rng = np.random.default_rng((context.seed, server.host.host_id))
+    measurer = ProxyMeasurer(network, context.scenario.client, server,
+                             eta=context.eta, seed=server.host.host_id,
+                             retry_policy=context.retry_policy)
+    requested: Set[str] = set()
+
+    def measure(landmarks: Sequence[Landmark]) -> List[RttObservation]:
+        names = [lm.name for lm in landmarks]
+        requested.update(names)
+        return measurer.observe([lm for lm, name in zip(landmarks, names)
+                                 if name not in context.quarantined])
+
+    with network.measurement_epoch_for(server.host):
         try:
-            result = driver.locate(measurer.observe, rng)
+            return context.driver.collect(measure, rng), requested
         except MeasurementFailed as exc:
-            region = Region.empty(driver.algorithm.grid)
-            assessment = assess_claim(region, server.claimed_country,
-                                      scenario.worldmap)
-            return (region, assessment, [], [], True,
-                    [f"tunnel unreachable: {exc}"])
-    assessment = assess_claim(result.prediction.region,
-                              server.claimed_country, scenario.worldmap)
-    observations = (list(result.phase2_observations)
-                    + list(result.phase1_observations))
-    return (result.prediction.region, assessment, observations,
-            list(result.phase2_landmarks), result.degraded,
-            list(result.notes))
+            return exc, requested
 
 
-def _payload_for(scenario: Scenario, driver: TwoPhaseDriver,
-                 servers: List[ProxyServer], index: int, eta: EtaEstimate,
-                 seed: int) -> ServerPayload:
-    region, assessment, observations, names, degraded, notes = _audit_one(
-        scenario, driver, servers[index], eta, seed)
-    # packed_bytes() emits exactly np.packbits(region.mask).tobytes(),
-    # straight from the packed words when the region is packed-native.
-    return (index, region.packed_bytes(), assessment,
-            observations, names, degraded, notes)
+def _payload(server: ProxyServer, result: TwoPhaseResult,
+             requested: Set[str]) -> ServerPayload:
+    return ServerPayload(
+        host_id=server.host.host_id,
+        region_bytes=result.prediction.region.packed_bytes(),
+        deduced_continent=result.deduced_continent,
+        used_landmarks=tuple(result.phase2_landmarks),
+        requested_landmarks=tuple(sorted(requested)),
+        degraded=result.degraded,
+        notes=tuple(result.notes),
+        observations=(tuple(result.phase2_observations)
+                      + tuple(result.phase1_observations)))
 
 
-def _collect_one(scenario: Scenario, driver: TwoPhaseDriver,
-                 server: ProxyServer, eta: EtaEstimate, seed: int):
-    """Measure one proxy without multilaterating: the fleet front half.
+def measure_chunk(context: MeasureContext,
+                  servers: Sequence[ProxyServer]) -> List[ServerPayload]:
+    """Measure a chunk of proxies and multilaterate them in one sweep.
 
-    RNG keying, measurer construction, and measurement-epoch scoping are
-    identical to :func:`_audit_one` — only the prediction is deferred so
-    a whole batch of measurements can share one vectorised sweep.
-    Returns the :class:`TwoPhaseMeasurement`, or the
-    :class:`MeasurementFailed` exception for a dead tunnel.
+    The one measurement kernel behind audits, campaign shards and the
+    verdict service.  Measurement stays per server (:func:`_collect`);
+    every server with at least ``MIN_MULTILATERATION_OBSERVATIONS``
+    observations shares one ``predict_fleet`` call.  A dead tunnel gives
+    the empty degraded payload, and an observation-starved measurement
+    is finished without multilateration.  The context's fault injector
+    is installed around the chunk.  Payloads come back in ``servers``
+    order.
     """
-    rng = np.random.default_rng((seed, server.host.host_id))
-    measurer = ProxyMeasurer(scenario.network, scenario.client, server,
-                             eta=eta.eta, seed=server.host.host_id)
-    with scenario.network.measurement_epoch_for(server.host):
-        try:
-            return driver.collect(measurer.observe, rng)
-        except MeasurementFailed as exc:
-            return exc
+    driver = context.driver
+    done: Dict[int, ServerPayload] = {}
+    fleet: List[Tuple[int, TwoPhaseMeasurement, Set[str]]] = []
+    with context.scenario.network.faults_installed(context.injector):
+        for at, server in enumerate(servers):
+            collected, requested = _collect(context, server)
+            if isinstance(collected, MeasurementFailed):
+                done[at] = ServerPayload(
+                    host_id=server.host.host_id,
+                    region_bytes=Region.empty(
+                        driver.algorithm.grid).packed_bytes(),
+                    deduced_continent="unknown",
+                    used_landmarks=(),
+                    requested_landmarks=tuple(sorted(requested)),
+                    degraded=True,
+                    notes=(f"tunnel unreachable: {collected}",),
+                    observations=())
+            elif (len(collected.observations)
+                  < MIN_MULTILATERATION_OBSERVATIONS):
+                done[at] = _payload(server, driver.finish(collected),
+                                    requested)
+            else:
+                fleet.append((at, collected, requested))
+        if fleet:
+            predictions = driver.algorithm.predict_fleet(
+                [measurement.observations for _, measurement, _ in fleet])
+            for (at, measurement, requested), prediction in zip(
+                    fleet, predictions):
+                done[at] = _payload(servers[at],
+                                    driver.finish(measurement, prediction),
+                                    requested)
+    return [done[at] for at in range(len(servers))]
 
 
-def _payload_from_result(scenario: Scenario, servers: List[ProxyServer],
-                         index: int, result: TwoPhaseResult) -> ServerPayload:
-    server = servers[index]
-    assessment = assess_claim(result.prediction.region,
-                              server.claimed_country, scenario.worldmap)
-    observations = (list(result.phase2_observations)
-                    + list(result.phase1_observations))
-    return (index, result.prediction.region.packed_bytes(), assessment,
-            observations, list(result.phase2_landmarks), result.degraded,
-            list(result.notes))
+def _measure_indices(context: MeasureContext,
+                     servers: Sequence[ProxyServer], indices: List[int],
+                     assess: bool) -> List[ServerPayload]:
+    """:func:`measure_chunk` over ``servers[i] for i in indices``.
 
-
-def _fleet_payloads(scenario: Scenario, driver: TwoPhaseDriver,
-                    servers: List[ProxyServer], indices: List[int],
-                    eta: EtaEstimate, seed: int) -> List[ServerPayload]:
-    """Audit a batch of servers through the fleet multilateration engine.
-
-    Measurement stays per-server (streams keyed by ``(seed, host_id)``,
-    exactly as the scalar engine); only the multilateration step is
-    batched into one ``predict_fleet`` sweep.  Servers that cannot take
-    that sweep use the scalar engine's own fallbacks: a dead tunnel
-    yields the empty-region payload, an observation-starved (degraded)
-    measurement is finished without multilateration.  Payloads come back
-    in ``indices`` order, so checkpoint journals are written in the same
-    order as the per-server engine's.
+    With ``assess`` each payload also gets its index and its server's
+    own-claim assessment — the audit's addition, computed in the worker
+    that measured it.
     """
-    payloads: List[ServerPayload] = []
-    fleet: List[tuple] = []
-    for index in indices:
-        server = servers[index]
-        collected = _collect_one(scenario, driver, server, eta, seed)
-        if isinstance(collected, MeasurementFailed):
-            region = Region.empty(driver.algorithm.grid)
-            assessment = assess_claim(region, server.claimed_country,
-                                      scenario.worldmap)
-            payloads.append((index, region.packed_bytes(), assessment,
-                             [], [], True,
-                             [f"tunnel unreachable: {collected}"]))
-        elif (len(collected.observations)
-              < MIN_MULTILATERATION_OBSERVATIONS):
-            payloads.append(_payload_from_result(
-                scenario, servers, index, driver.finish(collected)))
-        else:
-            fleet.append((index, collected))
-    if fleet:
-        predictions = driver.algorithm.predict_fleet(
-            [measurement.observations for _, measurement in fleet])
-        for (index, measurement), prediction in zip(fleet, predictions):
-            payloads.append(_payload_from_result(
-                scenario, servers, index,
-                driver.finish(measurement, prediction)))
-    order = {index: at for at, index in enumerate(indices)}
-    payloads.sort(key=lambda payload: order[payload[0]])
-    return payloads
+    payloads = measure_chunk(context, [servers[index] for index in indices])
+    if not assess:
+        return payloads
+    grid = context.driver.algorithm.grid
+    return [replace(payload, index=index, assessment=assess_claim(
+                Region.from_packbits(grid, payload.region_bytes),
+                servers[index].claimed_country, context.scenario.worldmap))
+            for index, payload in zip(indices, payloads)]
 
 
-def _chunk_payloads(scenario: Scenario, driver: TwoPhaseDriver,
-                    servers: List[ProxyServer], indices: List[int],
-                    eta: EtaEstimate, seed: int,
-                    engine: str) -> List[ServerPayload]:
-    """One work unit's payloads, through the selected audit engine."""
-    if engine == "fleet":
-        return _fleet_payloads(scenario, driver, servers, indices, eta, seed)
-    return [_payload_for(scenario, driver, servers, index, eta, seed)
-            for index in indices]
-
-
-def _record_from(server: ProxyServer, region: Region,
-                 assessment: ClaimAssessment, observations: list,
-                 landmark_names: List[str], degraded: bool,
-                 notes: List[str]) -> AuditRecord:
-    return AuditRecord(
-        server=server,
-        region=region,
-        assessment=assessment,
-        initial_verdict=assessment.verdict,
-        observations=observations,
-        landmark_names=landmark_names,
-        degraded=degraded,
-        failure_notes=notes,
-    )
-
-
-def _record_from_payload(servers: List[ProxyServer], grid,
-                         payload: ServerPayload) -> AuditRecord:
-    index, packed, assessment, observations, names, degraded, notes = payload
-    # Under the packed engine the payload bytes are adopted as uint64
-    # words without ever materialising the per-record boolean mask —
-    # the source of the fleet audit's ~8x region-memory reduction.
-    return _record_from(servers[index], Region.from_packbits(grid, packed),
-                        assessment, observations, names, degraded, notes)
+#: ``(context, servers, assess)`` for forked workers.  Set immediately
+#: before the pool is created so the fork snapshot carries it — and
+#: with it the scenario, warm path rows and distance bank as
+#: copy-on-write pages; cleared once the pool is done.
+_FORK_STATE: Optional[
+    Tuple[MeasureContext, Sequence[ProxyServer], bool]] = None
 
 
 def _fork_worker(indices: List[int]) -> List[ServerPayload]:
-    scenario, driver, servers, eta, seed, engine = _FORK_STATE
-    return _chunk_payloads(scenario, driver, servers, indices, eta, seed,
-                           engine)
+    assert _FORK_STATE is not None
+    context, servers, assess = _FORK_STATE
+    return _measure_indices(context, servers, indices, assess)
+
+
+def run_chunks(context: MeasureContext, servers: Sequence[ProxyServer],
+               chunks: List[List[int]], workers: int, assess: bool,
+               deliver: Callable[[ServerPayload], None]) -> None:
+    """Measure every chunk of server indices, handing payloads to
+    ``deliver`` (see :func:`_measure_indices` for ``assess``).
+
+    With more than one worker and more than one chunk the chunks fan out
+    over a pool of up to ``workers`` forked processes and payloads reach
+    ``deliver`` in chunk completion order; otherwise they run in
+    process, in order.  Fork (not spawn) is required: the children
+    inherit the scenario — topology, shortest-path rows, the grid's
+    distance bank — as copy-on-write pages instead of re-pickling
+    hundreds of megabytes, and ship back only payloads.
+    """
+    global _FORK_STATE
+    workers = min(workers, len(chunks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for chunk in chunks:
+            for payload in _measure_indices(context, servers, chunk, assess):
+                deliver(payload)
+        return
+    _FORK_STATE = (context, servers, assess)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_fork_worker, chunk) for chunk in chunks]
+            for future in as_completed(futures):
+                for payload in future.result():
+                    deliver(payload)
+    finally:
+        _FORK_STATE = None
+
+
+def record_from_payload(server: ProxyServer, grid: Grid,
+                        payload: ServerPayload) -> AuditRecord:
+    """The audit record of an assessed payload.
+
+    The payload bytes are adopted as uint64 words without ever
+    materialising the boolean mask — the source of the fleet audit's ~8x
+    region-memory reduction.
+    """
+    assert payload.assessment is not None
+    return AuditRecord(
+        server=server,
+        region=Region.from_packbits(grid, payload.region_bytes),
+        assessment=payload.assessment,
+        initial_verdict=payload.assessment.verdict,
+        observations=list(payload.observations),
+        landmark_names=list(payload.used_landmarks),
+        degraded=payload.degraded,
+        failure_notes=list(payload.notes),
+    )
 
 
 #: Servers per checkpointed work unit: small enough that a killed audit
@@ -359,42 +405,25 @@ def _fork_worker(indices: List[int]) -> List[ServerPayload]:
 _CHECKPOINT_CHUNK = 4
 
 
-def _parallel_payloads(scenario: Scenario, driver: TwoPhaseDriver,
-                       servers: List[ProxyServer], eta: EtaEstimate,
-                       seed: int, workers: int, indices: List[int],
-                       deliver: Callable[[ServerPayload], None],
-                       engine: str, fine_chunks: bool) -> None:
-    """Fan the per-server audits over forked worker processes.
+def fault_environment(scenario: Scenario, seed: int,
+                      fault_profile: Optional[object]
+                      ) -> Tuple[Optional[FaultProfile],
+                                 Optional[FaultInjector]]:
+    """An audit's resolved fault profile and its injector.
 
-    Fork (not spawn) is required: the children inherit the scenario —
-    topology, shortest-path caches, the grid's distance bank — as
-    copy-on-write pages instead of re-pickling hundreds of megabytes.
-    Each worker ships back only a packed region mask plus the small
-    assessment/observation records, each of which goes straight to
-    ``deliver`` in completion order.  With ``fine_chunks`` (a checkpoint
-    or streaming sink downstream) work is split into small chunks so a
-    kill loses at most a chunk and memory holds at most a chunk per
-    in-flight future; otherwise one round-robin chunk per worker
-    minimises IPC.
+    The explicit ``fault_profile`` wins, else the scenario's own; the
+    injector has every landmark's outage scheduled.  Both are None for a
+    fault-free run.
     """
-    global _FORK_STATE
-    context = multiprocessing.get_context("fork")
-    if fine_chunks:
-        chunks = [indices[at:at + _CHECKPOINT_CHUNK]
-                  for at in range(0, len(indices), _CHECKPOINT_CHUNK)]
-    else:
-        chunks = [indices[worker::workers] for worker in range(workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-    _FORK_STATE = (scenario, driver, servers, eta, seed, engine)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_fork_worker, chunk) for chunk in chunks]
-            for future in as_completed(futures):
-                for payload in future.result():
-                    deliver(payload)
-    finally:
-        _FORK_STATE = None
+    profile = resolve_fault_profile(
+        fault_profile if fault_profile is not None
+        else scenario.fault_profile)
+    if profile is None:
+        return None, None
+    injector = FaultInjector(profile, seed=seed)
+    injector.schedule_outages(
+        [lm.host.host_id for lm in scenario.atlas.all_landmarks()])
+    return profile, injector
 
 
 #: Campaign-level η estimates, keyed by (scenario token, seed, profile).
@@ -408,13 +437,15 @@ _ETA_CACHE: "LruCache[tuple, EtaEstimate]" = LruCache(maxsize=16)
 
 def _campaign_eta(scenario: Scenario, seed: int,
                   profile: Optional[FaultProfile],
-                  rng: np.random.Generator) -> EtaEstimate:
+                  injector: Optional[FaultInjector]) -> EtaEstimate:
     """The memoised whole-fleet η fit for one (scenario, seed, profile)."""
     key = (_scenario_token(scenario), seed, profile)
     eta = _ETA_CACHE.get(key)
     if eta is None:
-        eta = estimate_eta(scenario.network, scenario.client,
-                           scenario.all_servers(), rng)
+        with scenario.network.faults_installed(injector):
+            eta = estimate_eta(scenario.network, scenario.client,
+                               scenario.all_servers(),
+                               np.random.default_rng(seed))
         _ETA_CACHE.put(key, eta)
     return eta
 
@@ -428,17 +459,8 @@ def campaign_eta(scenario: Scenario, seed: int = 0,
     campaign merge running in a fresh process (no audit, no warm
     ``_ETA_CACHE``) reports bit-identically to the shards that measured.
     """
-    profile = resolve_fault_profile(
-        fault_profile if fault_profile is not None
-        else scenario.fault_profile)
-    injector: Optional[FaultInjector] = None
-    if profile is not None:
-        injector = FaultInjector(profile, seed=seed)
-        injector.schedule_outages(
-            [lm.host.host_id for lm in scenario.atlas.all_landmarks()])
-    rng = np.random.default_rng(seed)
-    with scenario.network.faults_installed(injector):
-        return _campaign_eta(scenario, seed, profile, rng)
+    profile, injector = fault_environment(scenario, seed, fault_profile)
+    return _campaign_eta(scenario, seed, profile, injector)
 
 
 def run_audit(scenario: Scenario,
@@ -498,9 +520,6 @@ def run_audit(scenario: Scenario,
         :meth:`AuditCheckpoint.finalize`) — the form shard journals must
         be in before a campaign merge.
     """
-    # Resolve the engine up front so a typo'd knob fails before any
-    # measurement, not in the middle of a forked worker.
-    engine = str(config.env_value("REPRO_AUDIT_ENGINE"))
     if sink is not None and disambiguate:
         raise ValueError(
             "a streaming audit cannot disambiguate: refinement needs the "
@@ -508,7 +527,6 @@ def run_audit(scenario: Scenario,
             "the sink (see experiments.campaign.CampaignAggregator)")
     if finalize_checkpoint and checkpoint_path is None:
         raise ValueError("finalize_checkpoint requires checkpoint_path")
-    rng = np.random.default_rng(seed)
     if algorithm is None:
         algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
     if servers is None:
@@ -517,15 +535,7 @@ def run_audit(scenario: Scenario,
         servers = list(servers)[:max_servers]
     servers = list(servers)
     grid = algorithm.grid
-
-    profile: Optional[FaultProfile] = resolve_fault_profile(
-        fault_profile if fault_profile is not None
-        else scenario.fault_profile)
-    injector: Optional[FaultInjector] = None
-    if profile is not None:
-        injector = FaultInjector(profile, seed=seed)
-        injector.schedule_outages(
-            [lm.host.host_id for lm in scenario.atlas.all_landmarks()])
+    profile, injector = fault_environment(scenario, seed, fault_profile)
 
     checkpoint: Optional[AuditCheckpoint] = None
     completed: Dict[int, ServerPayload] = {}
@@ -545,9 +555,9 @@ def run_audit(scenario: Scenario,
     # Warm the shortest-path engine for every router this audit can
     # touch — one batched Dijkstra — before any measurement and before
     # the worker pool forks, so children inherit the rows as
-    # copy-on-write pages (a no-op under the networkx oracle).  Only the
-    # *audited* servers are warmed: a truncated quick run must not pay a
-    # full-fleet Dijkstra for servers it will never measure.
+    # copy-on-write pages.  Only the *audited* servers are warmed: a
+    # truncated quick run must not pay a full-fleet Dijkstra for servers
+    # it will never measure.
     scenario.network.warm_paths(
         [scenario.client]
         + [lm.host for lm in scenario.atlas.all_landmarks()]
@@ -564,10 +574,11 @@ def run_audit(scenario: Scenario,
         if checkpoint is not None and journal:
             checkpoint.append(payload)
         if sink is not None:
-            sink.accept(_record_from_payload(servers, grid, payload))
+            sink.accept(record_from_payload(servers[payload.index], grid,
+                                            payload))
             n_streamed += 1
         else:
-            completed[payload[0]] = payload
+            completed[payload.index] = payload
 
     if sink is not None and completed:
         # Resumed records reach the sink before any live ones, in
@@ -582,40 +593,29 @@ def run_audit(scenario: Scenario,
         pending = [index for index in range(len(servers))
                    if index not in completed]
 
-    with scenario.network.faults_installed(injector):
-        # η is a campaign-level calibration: it is always fitted over the
-        # scenario's whole fleet (never the truncated slice), so the same
-        # (scenario, seed, profile) yields the same η no matter which
-        # servers are audited — truncated quick runs stay bit-identical
-        # to the corresponding slice of a full audit.
-        eta = _campaign_eta(scenario, seed, profile, rng)
-        selector = TwoPhaseSelector(scenario.atlas, seed=seed)
-        driver = TwoPhaseDriver(selector, algorithm)
-
-        fine_chunks = checkpoint is not None or sink is not None
-        use_fork = (workers > 1 and len(pending) > 1
-                    and "fork" in multiprocessing.get_all_start_methods())
-        if use_fork:
-            _parallel_payloads(
-                scenario, driver, servers, eta, seed,
-                min(workers, len(pending)), pending, deliver, engine,
-                fine_chunks)
-        else:
-            # Serial: one fleet batch over everything pending — unless a
-            # checkpoint journal or streaming sink wants finer
-            # granularity, in which case the batches mirror the parallel
-            # path's chunking so a kill loses at most a chunk and memory
-            # holds at most a chunk of payloads either way.
-            if not fine_chunks:
-                batches = [pending] if pending else []
-            else:
-                batches = [pending[at:at + _CHECKPOINT_CHUNK]
-                           for at in range(0, len(pending),
-                                           _CHECKPOINT_CHUNK)]
-            for batch in batches:
-                for payload in _chunk_payloads(scenario, driver, servers,
-                                               batch, eta, seed, engine):
-                    deliver(payload)
+    # η is a campaign-level calibration: it is always fitted over the
+    # scenario's whole fleet (never the truncated slice), so the same
+    # (scenario, seed, profile) yields the same η no matter which servers
+    # are audited — truncated quick runs stay bit-identical to the
+    # corresponding slice of a full audit.
+    eta = _campaign_eta(scenario, seed, profile, injector)
+    context = MeasureContext(
+        scenario=scenario,
+        driver=TwoPhaseDriver(TwoPhaseSelector(scenario.atlas, seed=seed),
+                              algorithm),
+        eta=eta.eta, seed=seed, injector=injector)
+    if checkpoint is not None or sink is not None:
+        # Small chunks, so a kill loses at most a chunk and memory holds
+        # at most a chunk of payloads per in-flight chunk.
+        chunks = [pending[at:at + _CHECKPOINT_CHUNK]
+                  for at in range(0, len(pending), _CHECKPOINT_CHUNK)]
+    else:
+        # One round-robin chunk per worker: the fewest pool round trips,
+        # and serially one fleet-wide predict_fleet sweep.
+        n_chunks = max(1, min(workers, len(pending)))
+        chunks = [chunk for chunk in (pending[at::n_chunks]
+                                      for at in range(n_chunks)) if chunk]
+    run_chunks(context, servers, chunks, workers, True, deliver)
 
     # Whatever mesh pings this audit archived outlive the process: the
     # next shard, audit or service over the same world loads them.
@@ -634,13 +634,12 @@ def run_audit(scenario: Scenario,
     # The legacy API contract: callers get the full record list.  Bounded
     # by design to figure-sized fleets; campaigns use the sink path above.
     records = [  # reprolint: disable=R008 (legacy materialising API; campaign-scale callers pass a sink)
-        _record_from_payload(servers, grid, completed[index])
+        record_from_payload(servers[index], grid, completed[index])
         for index in range(len(servers))]
 
     reclassified: Dict[str, int] = {"datacenter": 0, "metadata": 0, "total": 0}
     if disambiguate:
-        reclassified = refine_assessments(records, scenario.datacenters,
-                                          scenario.worldmap)
+        reclassified = refine_assessments(records, scenario.datacenters)
     return AuditResult(records=records, eta=eta, reclassified=reclassified,
                        fault_profile=profile.name if profile else None)
 

@@ -21,10 +21,12 @@ end of the run.  A campaign removes that term:
 
 Byte-identity is possible because every aggregate in the report is
 commutative (integer tallies, co-occurrence counts, running group
-intersections) and the two disambiguation passes decompose: the
-data-centre pass is per-record (applied at accept time), and the
-metadata pass needs only each group's running country-set intersection
-plus the skeletons of still-uncertain records — never their regions.
+intersections) and the two disambiguation passes decompose — the same
+:class:`~repro.core.disambiguation.Disambiguator` a materialised audit
+refines with: the data-centre pass is per-record (applied at accept
+time), and the metadata pass needs only each group's running
+country-set intersection plus the skeletons of still-uncertain records —
+never their regions.
 """
 
 from __future__ import annotations
@@ -32,20 +34,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import config
-from ..core.assessment import Verdict
-from ..core.disambiguation import (AuditRecord, _reclassify,
-                                   disambiguate_by_datacenters,
-                                   metadata_group_key)
+from ..core.disambiguation import AuditRecord, Disambiguator
 from ..core.proxy_adapter import EtaEstimate
 from ..geo.countries import CONTINENTS
 from ..netsim.faults import FaultProfile, resolve_fault_profile
 from ..netsim.proxies import ProxyServer
 from ..stats.confusion import CooccurrenceMatrix
-from .audit import (RecordTally, _record_from_payload, campaign_eta,
+from .audit import (RecordTally, campaign_eta, record_from_payload,
                     run_audit)
 from .checkpoint import AuditCheckpoint, shard_journal_path
 from .scenario import Scenario
@@ -185,16 +184,14 @@ class CampaignAggregator:
     """An :class:`AuditSink` that computes the campaign report in one pass.
 
     Per accepted record: integer tallies and co-occurrence counts are
-    updated, the data-centre disambiguation pass is applied (it is
-    per-record, so it commutes), the record's metadata group gets its
-    running country-set intersection updated, and then the record is
-    either *settled* into the final tallies (verdict no longer
-    uncertain) or retained as a skeleton — server, assessment, flags —
-    with its region and observations dropped.  ``close()`` replays the
-    metadata pass over the skeletons using the completed group
-    intersections; the result is exactly
-    :func:`~repro.core.disambiguation.refine_assessments` semantics
-    without ever holding more than the uncertain skeletons in memory.
+    updated, and the record goes through a
+    :class:`~repro.core.disambiguation.Disambiguator`, which either
+    leaves it final — it is *settled* into the tallies at once — or
+    holds its skeleton (server, assessment, flags; region and
+    observations dropped) while it is still uncertain.  ``close()`` runs
+    the deferred metadata pass and settles the skeletons: exactly
+    :func:`~repro.core.disambiguation.refine_assessments`, without ever
+    holding more than the uncertain skeletons in memory.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -204,10 +201,7 @@ class CampaignAggregator:
         self._claimed: Dict[str, int] = {}
         self._country_matrix = CooccurrenceMatrix(scenario.registry.codes())
         self._continent_matrix = CooccurrenceMatrix(list(CONTINENTS))
-        self._groups: Dict[Tuple[str, int, str], list] = {}
-        self._uncertain: List[AuditRecord] = []
-        self._reclassified_dc = 0
-        self._reclassified_md = 0
+        self._refine = Disambiguator(scenario.datacenters)
         self.n_accepted = 0
         self._closed = False
 
@@ -225,23 +219,7 @@ class CampaignAggregator:
             self._continent_matrix.add_set(
                 self._scenario.registry.continent_of(code)
                 for code in covered)
-        # Data-centre disambiguation touches only this record, so
-        # applying it at accept time is order-independent.
-        self._reclassified_dc += disambiguate_by_datacenters(
-            [record], self._scenario.datacenters)
-        key = metadata_group_key(record.server)
-        entry = self._groups.get(key)
-        if entry is None:
-            self._groups[key] = [1, set(covered)]
-        else:
-            entry[0] += 1
-            entry[1] &= set(covered)
-        if record.assessment.verdict is Verdict.UNCERTAIN:
-            # Retain only the skeleton: the region (~8 KB packed) and the
-            # observations are what the streaming design exists to shed.
-            self._uncertain.append(replace(
-                record, region=None, observations=None, landmark_names=None))
-        else:
+        if self._refine.accept(record):
             self._settle(record)
 
     def _settle(self, record: AuditRecord) -> None:
@@ -255,18 +233,8 @@ class CampaignAggregator:
         """Run the deferred metadata pass and settle the skeletons."""
         if self._closed:
             return
-        # Mirrors disambiguate_by_metadata: a group of >= 2 co-located
-        # proxies whose regions all cover exactly one common country
-        # pins its still-uncertain members to that country.  The running
-        # intersections were built over *every* group member, settled or
-        # not, exactly as the batch pass computes them.
-        for record in self._uncertain:
-            members, common = self._groups[metadata_group_key(record.server)]
-            if members >= 2 and len(common) == 1:
-                _reclassify(record.assessment, next(iter(common)), "metadata")
-                self._reclassified_md += 1
+        for record in self._refine.close():
             self._settle(record)
-        self._uncertain = []
         self._closed = True
 
     def report(self, *, eta: EtaEstimate,
@@ -290,11 +258,7 @@ class CampaignAggregator:
             verdicts_initial=dict(self._settled.verdicts_initial),
             verdicts_final=dict(self._settled.verdicts),
             categories=dict(self._settled.categories),
-            reclassified={
-                "datacenter": self._reclassified_dc,
-                "metadata": self._reclassified_md,
-                "total": self._reclassified_dc + self._reclassified_md,
-            },
+            reclassified=self._refine.counts(),
             degraded=self._settled.degraded,
             providers={name: dict(counts)
                        for name, counts in self._providers.items()},
@@ -448,8 +412,9 @@ def run_campaign_shard(scenario: Scenario,
                                    profile_name)
     if resume and checkpoint.is_final:
         for payload in checkpoint.iter_payloads():
-            tally.add_assessment_verdict(payload[2].verdict.value,
-                                         bool(payload[5]))
+            assert payload.assessment is not None
+            tally.add_assessment_verdict(payload.assessment.verdict.value,
+                                         payload.degraded)
         skipped = True
     else:
         run_audit(scenario, servers=shard_servers, seed=seed,
@@ -498,7 +463,8 @@ def merge_campaign(scenario: Scenario,
     grid = scenario.worldmap.grid
     aggregator = CampaignAggregator(scenario)
     for payload in merged.iter_payloads():
-        aggregator.accept(_record_from_payload(servers, grid, payload))
+        aggregator.accept(record_from_payload(servers[payload.index], grid,
+                                              payload))
     eta = campaign_eta(scenario, seed, profile)
     return aggregator.report(eta=eta, fault_profile=profile_name,
                              plan_name=plan.name)

@@ -13,9 +13,9 @@ remainder.  Serialisation is exact — Python's ``json`` round-trips floats
 through ``repr`` and the region mask travels as packed-bit hex — so a
 resumed audit's records are bit-identical to an uninterrupted run's.
 The mask bytes are exactly ``Region.packed_bytes()`` (MSB-first
-``np.packbits`` order, the packed engine's native word layout minus the
-zero tail padding), so under the packed engine a resumed record is
-rebuilt by :meth:`Region.from_packbits` without touching a boolean mask.
+``np.packbits`` order, the region's native word layout minus the zero
+tail padding), so a resumed record is rebuilt by
+:meth:`Region.from_packbits` without touching a boolean mask.
 
 A truncated final line (the kill arrived mid-write) is silently dropped;
 that server is simply re-audited.  A header mismatch (different seed,
@@ -37,20 +37,46 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import sanitize
 from ..core.assessment import ClaimAssessment, ContinentVerdict, Verdict
 from ..core.observations import RttObservation
 
-#: (index, packed region mask, assessment, observations, landmark names,
-#: degraded, failure notes) — the unit shipped between audit workers,
-#: the parent, and the checkpoint file.
-ServerPayload = Tuple[int, bytes, ClaimAssessment, list, List[str],
-                      bool, List[str]]
-
 FORMAT = "repro-audit-checkpoint"
 VERSION = 1
+
+
+@dataclass(frozen=True)
+class ServerPayload:
+    """One measured server, in fork-safe wire form.
+
+    The measurement kernel (:func:`repro.experiments.audit.measure_chunk`)
+    fills every field but the last two; an audit adds the server's
+    ``index`` in the audited fleet and its own-claim ``assessment``.  It
+    is the unit shipped between forked workers, the parent, the verdict
+    service's caches and the checkpoint journal — which carries only the
+    version-1 fields (see :func:`payload_to_json`), so a payload read
+    back from a journal has ``host_id`` -1, an empty
+    ``deduced_continent`` and no ``requested_landmarks``.
+    """
+
+    host_id: int
+    #: The multilateration region, ``np.packbits(mask).tobytes()``.
+    region_bytes: bytes
+    deduced_continent: str
+    #: Phase-2 landmark names the prediction used.
+    used_landmarks: Tuple[str, ...]
+    #: Every landmark name the driver asked to probe, sorted — the
+    #: measurement's dependency set.
+    requested_landmarks: Tuple[str, ...]
+    degraded: bool
+    notes: Tuple[str, ...]
+    #: Phase-2 observations, then phase-1.
+    observations: Tuple[RttObservation, ...]
+    index: int = -1
+    assessment: Optional[ClaimAssessment] = None
 
 
 class CheckpointMismatch(ValueError):
@@ -81,30 +107,38 @@ def _assessment_from_json(data: dict) -> ClaimAssessment:
     )
 
 
+#: What a payload read back from a journal holds in the fields the
+#: journal does not carry.
+_UNJOURNALLED = {"host_id": -1, "deduced_continent": "",
+                 "requested_landmarks": ()}
+
+
 def payload_to_json(payload: ServerPayload) -> dict:
-    index, packed, assessment, observations, names, degraded, notes = payload
+    """The version-1 journal record of an audited payload."""
+    assert payload.assessment is not None
     return {
-        "i": index,
-        "mask": packed.hex(),
-        "assessment": _assessment_to_json(assessment),
+        "i": payload.index,
+        "mask": payload.region_bytes.hex(),
+        "assessment": _assessment_to_json(payload.assessment),
         "obs": [[o.landmark_name, o.lat, o.lon, o.one_way_ms]
-                for o in observations],
-        "landmarks": list(names),
-        "degraded": degraded,
-        "notes": list(notes),
+                for o in payload.observations],
+        "landmarks": list(payload.used_landmarks),
+        "degraded": payload.degraded,
+        "notes": list(payload.notes),
     }
 
 
 def payload_from_json(data: dict) -> ServerPayload:
-    return (
-        int(data["i"]),
-        bytes.fromhex(data["mask"]),
-        _assessment_from_json(data["assessment"]),
-        [RttObservation(name, lat, lon, one_way)
-         for name, lat, lon, one_way in data["obs"]],
-        list(data["landmarks"]),
-        bool(data["degraded"]),
-        list(data["notes"]),
+    return ServerPayload(
+        region_bytes=bytes.fromhex(data["mask"]),
+        used_landmarks=tuple(data["landmarks"]),
+        degraded=bool(data["degraded"]),
+        notes=tuple(data["notes"]),
+        observations=tuple(RttObservation(name, lat, lon, one_way)
+                           for name, lat, lon, one_way in data["obs"]),
+        index=int(data["i"]),
+        assessment=_assessment_from_json(data["assessment"]),
+        **_UNJOURNALLED,
     )
 
 
@@ -226,7 +260,7 @@ class AuditCheckpoint:
         """
         completed: Dict[int, ServerPayload] = {}
         for payload in self.iter_payloads():
-            completed[payload[0]] = payload
+            completed[payload.index] = payload
         return completed
 
     @property
@@ -430,9 +464,9 @@ def _check_roundtrip(payload: ServerPayload, line: str) -> None:
         restored = payload_from_json(json.loads(line))
     except Exception as error:
         raise sanitize.SanitizerError(
-            f"checkpoint record for server index {payload[0]} cannot be "
+            f"checkpoint record for server index {payload.index} cannot be "
             f"decoded back from the journal: {error}") from error
-    if restored != payload:
+    if restored != replace(payload, **_UNJOURNALLED):
         raise sanitize.SanitizerError(
-            f"checkpoint record for server index {payload[0]} does not "
+            f"checkpoint record for server index {payload.index} does not "
             "round-trip through the JSON journal codec")

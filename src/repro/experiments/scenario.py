@@ -87,8 +87,7 @@ def build_scenario(seed: int = 0,
                    anchor_quotas: Optional[Dict[str, int]] = None,
                    probe_quotas: Optional[Dict[str, int]] = None,
                    crowd_quotas: Optional[Dict[str, int]] = None,
-                   fault_profile: Optional[object] = None,
-                   path_engine: Optional[str] = None) -> Scenario:
+                   fault_profile: Optional[object] = None) -> Scenario:
     """Construct a fully wired scenario.
 
     Build order matters: the proxy fleet adds hosting ASes to the
@@ -105,7 +104,7 @@ def build_scenario(seed: int = 0,
     datacenters = DataCenterRegistry.from_registry(registry)
     cities = build_cities(registry)
     topology = build_topology(cities, seed=seed)
-    network = Network(topology, seed=seed + 1, path_engine=path_engine)
+    network = Network(topology, seed=seed + 1)
     factory = HostFactory(topology, seed=seed + 2)
     providers = build_proxy_fleet(network, factory, datacenters,
                                   registry=registry, seed=seed + 3,
@@ -139,10 +138,9 @@ def build_scenario(seed: int = 0,
 _SCENARIO_CACHE: Dict[Tuple, Scenario] = {}
 
 
-def default_scenario(seed: int = 0,
-                     path_engine: Optional[str] = None) -> Scenario:
+def default_scenario(seed: int = 0) -> Scenario:
     """The memoised fast scenario used by tests and benchmarks."""
-    key = ("default", seed, path_engine)
+    key = ("default", seed)
     if key not in _SCENARIO_CACHE:
         _SCENARIO_CACHE[key] = build_scenario(
             seed=seed,
@@ -150,7 +148,6 @@ def default_scenario(seed: int = 0,
             anchor_quotas=SMALL_ANCHOR_QUOTAS,
             probe_quotas=SMALL_PROBE_QUOTAS,
             crowd_quotas=SMALL_CROWD_QUOTAS,
-            path_engine=path_engine,
         )
     return _SCENARIO_CACHE[key]
 

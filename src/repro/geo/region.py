@@ -10,24 +10,24 @@ the operations the paper's evaluation needs:
 * distance from a point to the region's edge (Figure 9 panel A),
 * country/continent coverage (the credible/uncertain/false assessment).
 
-Since PR 4 the *native* representation is a packed uint64 bitset — one
-bit per grid cell, padding bits always zero — plus a lazily built
-per-block popcount index.  A fleet audit holds one region per audited
-server resident in memory, and packing shrinks that footprint ~8x while
-letting set algebra, emptiness tests, and country-overlap checks run as
-word-wide AND/OR/popcount instead of byte-per-cell boolean sweeps.  The
-historical boolean API (``region.mask``) remains available as a lazy,
-cached view, so read-side consumers keep working unchanged.
+A region is a packed uint64 bitset — one bit per grid cell, padding
+bits always zero — plus a lazily built per-block popcount index.  A
+fleet audit holds one region per audited server resident in memory, and
+packing shrinks that footprint ~8x while letting set algebra, emptiness
+tests, and country-overlap checks run as word-wide AND/OR/popcount
+instead of byte-per-cell boolean sweeps.  The boolean API
+(``region.mask``) remains available as a lazy, cached view for
+read-side consumers; nothing in this module computes from it.
 
-Two invariants keep the packed engine bit-identical to the boolean
-reference it replaced (set ``REPRO_REGION_ENGINE=bool`` to get the
-reference back):
+Two invariants keep every operation bit-identical to the plain boolean
+formulas it implements (the test suite keeps those formulas as its
+oracle):
 
 * boolean decisions (emptiness, overlap, membership) are computed on
   words but are logically equal to the mask versions because padding
   bits are zero by construction;
-* float reductions (area, centroid, distances) always gather *the same
-  member vector in the same order* (``values[mask]`` and
+* float reductions (area, centroid, distances) gather *the same member
+  vector in the same order* as ``values[mask]`` (``values[mask]`` and
   ``values[flatnonzero(mask)]`` are the same array) and reduce it with
   the same NumPy calls, so not a single ulp moves.
 
@@ -41,32 +41,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import config, sanitize
+from .. import sanitize
 from ..geodesy.geometry import SphericalDisk, SphericalRing
 from ..geodesy.greatcircle import haversine_km_vec
 from .grid import Grid
-
-#: Environment switch for the region engine: ``packed`` (default) stores
-#: uint64 bitsets natively; ``bool`` restores the boolean reference.
-#: Declared in :mod:`repro.config`; kept here for importers.
-REGION_ENGINE_ENV = config.REGION_ENGINE.name
 
 #: Words per block of the popcount index (32 words = 2048 cells): small
 #: enough that member gathers skip empty ocean wholesale, large enough
 #: that the index itself stays a few hundred bytes per region.
 WORDS_PER_BLOCK = 32
-
-
-def region_engine() -> str:
-    """The active region engine, from ``REPRO_REGION_ENGINE``.
-
-    An unrecognised value is a hard :class:`~repro.config.KnobError`
-    (a ``ValueError``) naming the allowed engines — never a silent
-    fallback to a default engine.
-    """
-    engine = config.env_value(REGION_ENGINE_ENV)
-    assert isinstance(engine, str)
-    return engine
 
 
 def _sanitize_operands(context: str, *regions: "Region") -> None:
@@ -82,9 +65,8 @@ def _sanitize_operands(context: str, *regions: "Region") -> None:
     if not sanitize.enabled():
         return
     for region in regions:
-        if region._words is not None:
-            sanitize.check_region_padding(
-                region._words, region.grid.n_cells, context)
+        sanitize.check_region_padding(
+            region._words, region.grid.n_cells, context)
 
 
 def n_words_for(n_bits: int) -> int:
@@ -140,42 +122,33 @@ def _check_padding_clear(words: np.ndarray, n_bits: int) -> bool:
 class Region:
     """A set of grid cells on an analysis :class:`~repro.geo.grid.Grid`."""
 
-    __slots__ = ("grid", "_mask", "_words", "_packed",
-                 "_block_pop", "_area_km2", "_n_members")
+    __slots__ = ("grid", "_mask", "_words", "_block_pop", "_area_km2",
+                 "_n_members")
 
     def __init__(self, grid: Grid, mask: np.ndarray):
         if mask.shape != (grid.n_cells,):
             raise ValueError(
                 f"mask shape {mask.shape} does not match grid with {grid.n_cells} cells")
-        if mask.dtype != np.bool_:
-            mask = mask.astype(bool)
+        self._adopt(grid, pack_bits(mask))
+
+    def _adopt(self, grid: Grid, words: np.ndarray) -> None:
         self.grid = grid
-        self._block_pop = None
-        self._area_km2 = None
-        self._n_members = None
-        if region_engine() == "packed":
-            self._packed = True
-            self._words = pack_bits(mask)
-            self._mask = None
-        else:
-            self._packed = False
-            self._mask = mask
-            self._words = None
+        self._words: np.ndarray = words
+        self._mask: Optional[np.ndarray] = None
+        self._block_pop: Optional[np.ndarray] = None
+        self._area_km2: Optional[float] = None
+        self._n_members: Optional[int] = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def empty(cls, grid: Grid) -> "Region":
-        if region_engine() == "packed":
-            return cls.from_words(
-                grid, np.zeros(n_words_for(grid.n_cells), dtype=np.uint64))
-        return cls(grid, np.zeros(grid.n_cells, dtype=bool))
+        return cls.from_words(
+            grid, np.zeros(n_words_for(grid.n_cells), dtype=np.uint64))
 
     @classmethod
     def full(cls, grid: Grid) -> "Region":
-        if region_engine() == "packed":
-            return cls.from_words(grid, _full_words(grid.n_cells))
-        return cls(grid, np.ones(grid.n_cells, dtype=bool))
+        return cls.from_words(grid, _full_words(grid.n_cells))
 
     @classmethod
     def from_disk(cls, grid: Grid, disk: SphericalDisk) -> "Region":
@@ -211,18 +184,7 @@ class Region:
         if not _check_padding_clear(words, grid.n_cells):
             raise ValueError("packed region has set bits beyond n_cells")
         region = cls.__new__(cls)
-        region.grid = grid
-        region._block_pop = None
-        region._area_km2 = None
-        region._n_members = None
-        if region_engine() == "packed":
-            region._packed = True
-            region._words = words
-            region._mask = None
-        else:
-            region._packed = False
-            region._mask = unpack_bits(words, grid.n_cells)
-            region._words = None
+        region._adopt(grid, words)
         return region
 
     @classmethod
@@ -230,9 +192,8 @@ class Region:
         """Rebuild a region from :meth:`packed_bytes` output.
 
         The byte string is exactly ``np.packbits(mask).tobytes()`` — the
-        format audit payloads and checkpoint journals carry — so in the
-        packed engine this is a straight copy into words with no
-        cell-level unpacking at all.
+        format audit payloads and checkpoint journals carry — so this is
+        a straight copy into words with no cell-level unpacking at all.
         """
         expected = (grid.n_cells + 7) // 8
         if len(data) != expected:
@@ -256,15 +217,8 @@ class Region:
 
     @property
     def words(self) -> np.ndarray:
-        """Packed uint64 view (lazy, cached).  Treat as read-only."""
-        if self._words is None:
-            self._words = pack_bits(self._mask)
+        """The packed uint64 words.  Treat as read-only."""
         return self._words
-
-    @property
-    def is_packed_native(self) -> bool:
-        """Does this region store packed words as its primary form?"""
-        return self._packed
 
     @property
     def has_bool_view(self) -> bool:
@@ -273,9 +227,7 @@ class Region:
 
     def resident_nbytes(self) -> int:
         """Bytes this region currently keeps resident (all cached forms)."""
-        total = 0
-        if self._words is not None:
-            total += self._words.nbytes
+        total = self._words.nbytes
         if self._mask is not None:
             total += self._mask.nbytes
         if self._block_pop is not None:
@@ -290,9 +242,7 @@ class Region:
         """
         _sanitize_operands("Region.packed_bytes", self)
         n_bytes = (self.grid.n_cells + 7) // 8
-        if self._packed or self._words is not None:
-            return self._words.view(np.uint8)[:n_bytes].tobytes()
-        return np.packbits(self._mask).tobytes()
+        return self._words.view(np.uint8)[:n_bytes].tobytes()
 
     @property
     def block_popcounts(self) -> np.ndarray:
@@ -302,7 +252,7 @@ class Region:
         all-zero stretches of ocean without touching cell-level data.
         """
         if self._block_pop is None:
-            counts = np.bitwise_count(self.words)
+            counts = np.bitwise_count(self._words)
             boundaries = np.arange(0, len(counts), WORDS_PER_BLOCK)
             self._block_pop = np.add.reduceat(
                 counts.astype(np.int64), boundaries)
@@ -313,40 +263,30 @@ class Region:
     def intersect(self, other: "Region") -> "Region":
         self._check_same_grid(other)
         _sanitize_operands("Region.intersect", self, other)
-        if self._packed and other._packed:
-            return Region.from_words(self.grid, self._words & other._words)
-        return Region(self.grid, self.mask & other.mask)
+        return Region.from_words(self.grid, self._words & other._words)
 
     def union(self, other: "Region") -> "Region":
         self._check_same_grid(other)
         _sanitize_operands("Region.union", self, other)
-        if self._packed and other._packed:
-            return Region.from_words(self.grid, self._words | other._words)
-        return Region(self.grid, self.mask | other.mask)
+        return Region.from_words(self.grid, self._words | other._words)
 
     def difference(self, other: "Region") -> "Region":
         self._check_same_grid(other)
         _sanitize_operands("Region.difference", self, other)
-        if self._packed and other._packed:
-            # other's padding flips to 1 under ~, but self's padding is 0,
-            # so the AND keeps the result's padding clear.
-            return Region.from_words(self.grid, self._words & ~other._words)
-        return Region(self.grid, self.mask & ~other.mask)
+        # other's padding flips to 1 under ~, but self's padding is 0,
+        # so the AND keeps the result's padding clear.
+        return Region.from_words(self.grid, self._words & ~other._words)
 
     def complement(self) -> "Region":
         """Every cell not in this region."""
         _sanitize_operands("Region.complement", self)
-        if self._packed:
-            return Region.from_words(
-                self.grid, self._words ^ _full_words(self.grid.n_cells))
-        return Region(self.grid, ~self.mask)
+        return Region.from_words(
+            self.grid, self._words ^ _full_words(self.grid.n_cells))
 
     def intersect_mask(self, mask: np.ndarray) -> "Region":
         """Intersect with a raw boolean mask (e.g. a land or latitude mask)."""
         _sanitize_operands("Region.intersect_mask", self)
-        if self._packed:
-            return Region.from_words(self.grid, self._words & pack_bits(mask))
-        return Region(self.grid, self.mask & mask)
+        return Region.from_words(self.grid, self._words & pack_bits(mask))
 
     def intersect_words(self, words: np.ndarray) -> "Region":
         """Intersect with pre-packed words (e.g. the plausibility bitset).
@@ -359,9 +299,7 @@ class Region:
             sanitize.check_region_padding(
                 np.ascontiguousarray(words, dtype=np.uint64),
                 self.grid.n_cells, "Region.intersect_words operand words")
-        if self._packed:
-            return Region.from_words(self.grid, self._words & words)
-        return Region(self.grid, self.mask & unpack_bits(words, self.grid.n_cells))
+        return Region.from_words(self.grid, self._words & words)
 
     def _check_same_grid(self, other: "Region") -> None:
         if other.grid is not self.grid:
@@ -378,9 +316,7 @@ class Region:
             return NotImplemented
         if self.grid is not other.grid:
             return False
-        if self._words is not None and other._words is not None:
-            return bool(np.array_equal(self._words, other._words))
-        return bool(np.array_equal(self.mask, other.mask))
+        return bool(np.array_equal(self._words, other._words))
 
     def __hash__(self) -> int:  # regions are mutable-array holders; no hashing
         raise TypeError("Region is unhashable")
@@ -389,17 +325,12 @@ class Region:
 
     @property
     def is_empty(self) -> bool:
-        if self._packed:
-            return not bool(self._words.any())
-        return not bool(self._mask.any())
+        return not bool(self._words.any())
 
     @property
     def n_cells(self) -> int:
         if self._n_members is None:
-            if self._packed:
-                self._n_members = int(self.block_popcounts.sum())
-            else:
-                self._n_members = int(self._mask.sum())
+            self._n_members = int(self.block_popcounts.sum())
         return self._n_members
 
     def _member_values(self, per_cell: np.ndarray) -> np.ndarray:
@@ -407,10 +338,8 @@ class Region:
 
         Integer-gathering by :meth:`cell_indices` yields the identical
         vector (same values, same order), so every float reduction over
-        it is bit-identical to the boolean reference.
+        it is bit-identical to the boolean formula.
         """
-        if self._mask is not None:
-            return per_cell[self._mask]
         return per_cell[self.cell_indices()]
 
     def area_km2(self) -> float:
@@ -423,8 +352,6 @@ class Region:
     def contains(self, lat: float, lon: float) -> bool:
         """Is the cell containing this point part of the region?"""
         index = self.grid.cell_index(lat, lon)
-        if self._mask is not None:
-            return bool(self._mask[index])
         byte = self._words.view(np.uint8)[index >> 3]
         return bool((int(byte) >> (7 - (index & 7))) & 1)
 
@@ -437,8 +364,6 @@ class Region:
         many regions (the data-centre disambiguation pattern).
         """
         indices = np.asarray(indices, dtype=np.intp)
-        if self._mask is not None:
-            return self._mask[indices]
         view = self._words.view(np.uint8)
         shifts = (7 - (indices & 7)).astype(np.uint8)
         return (view[indices >> 3] >> shifts) & 1 != 0
@@ -482,13 +407,8 @@ class Region:
         return float(haversine_km_vec(lat, lon, member_lats, member_lons).min())
 
     def cell_indices(self) -> np.ndarray:
-        """Indices of all member cells (ascending)."""
-        if self._mask is not None:
-            return np.flatnonzero(self._mask)
-        return self._indices_from_words()
-
-    def _indices_from_words(self) -> np.ndarray:
-        """Member cell indices, unpacking only non-empty word blocks."""
+        """Indices of all member cells (ascending), unpacking only the
+        non-empty word blocks."""
         nonzero_blocks = np.flatnonzero(self.block_popcounts)
         if nonzero_blocks.size == 0:
             return np.empty(0, dtype=np.intp)

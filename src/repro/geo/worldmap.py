@@ -85,9 +85,9 @@ class WorldMap:
         self.land_mask = self.country_raster != OCEAN
         self.plausibility_mask = self.land_mask & self.grid.latitude_band_mask(
             MIN_PLAUSIBLE_LATITUDE_DEG, MAX_PLAUSIBLE_LATITUDE_DEG)
-        # Packed (uint64 word) twins of the rasters, built lazily: the
-        # packed region engine clips and checks country overlap with
-        # word-wide AND instead of cell-by-cell boolean sweeps.
+        # Packed (uint64 word) twins of the rasters, built lazily: region
+        # clipping and country-overlap checks are word-wide ANDs instead
+        # of cell-by-cell boolean sweeps.
         self._plausibility_words: Optional[np.ndarray] = None
         self._land_words: Optional[np.ndarray] = None
         self._country_words: Optional[np.ndarray] = None
@@ -207,9 +207,8 @@ class WorldMap:
         """Per-country packed masks, one uint64 word row per country.
 
         Row ``i`` packs ``country_raster == i`` (registry order), so a
-        region↔country overlap test is one word-level AND + ``any`` —
-        the packed engine's replacement for gathering the raster over
-        every member cell.
+        region↔country overlap test is one word-level AND + ``any``
+        instead of gathering the raster over every member cell.
         """
         if self._country_words is None:
             raster = self.country_raster
@@ -222,9 +221,7 @@ class WorldMap:
 
     def clip_to_plausible(self, region: Region) -> Region:
         """Apply the paper's final clipping: land only, 60°S..85°N."""
-        if region.is_packed_native:
-            return region.intersect_words(self.plausibility_words)
-        return region.intersect_mask(self.plausibility_mask)
+        return region.intersect_words(self.plausibility_words)
 
     def country_region(self, iso2: str) -> Region:
         """The region consisting of every cell owned by ``iso2``."""
@@ -239,10 +236,9 @@ class WorldMap:
 
     def countries_covered(self, region: Region) -> List[str]:
         """ISO-2 codes of all countries the region overlaps, sorted by area overlap."""
-        # Word-level early exit for packed regions: an all-ocean region
-        # (common for blown-out predictions) never unpacks a single cell.
-        if (region.is_packed_native
-                and not (region.words & self.land_words).any()):
+        # Word-level early exit: an all-ocean region (common for blown-out
+        # predictions) never unpacks a single cell.
+        if not (region.words & self.land_words).any():
             return []
         cells = region.cell_indices()
         owners = self.country_raster[cells]
@@ -272,12 +268,7 @@ class WorldMap:
         idx = self.registry.index_of(iso2)
         if region.is_empty:
             return float("inf")
-        if region.is_packed_native:
-            overlaps = bool((self.country_words[idx] & region.words).any())
-        else:
-            overlaps = bool(
-                ((self.country_raster == idx) & region.mask).any())
-        if overlaps:
+        if (self.country_words[idx] & region.words).any():
             return 0.0
         return _min_cell_distance_km(
             self.grid, region.cell_indices(),
@@ -286,9 +277,7 @@ class WorldMap:
     def covers_country(self, region: Region, iso2: str) -> bool:
         """Does the region overlap any cell of the country?"""
         idx = self.registry.index_of(iso2)
-        if region.is_packed_native:
-            return bool((self.country_words[idx] & region.words).any())
-        return bool((self.country_raster[region.mask] == idx).any())
+        return bool((self.country_words[idx] & region.words).any())
 
     def within_country(self, region: Region, iso2: str) -> bool:
         """Is every land cell of the region inside the country?

@@ -93,6 +93,10 @@ class AdversarialTunnel(ProxiedClient):
             shaped = target_leg
         return leg_client + shaped
 
-    # Self-pings are unaffected: the adversary cannot tell them apart from
-    # ordinary tunnelled traffic to the client itself, and delaying them
-    # would *inflate* the client-leg estimate, helping the investigator.
+    # Self-pings pass through unshaped here, but only because that attack
+    # is not modelled yet.  A self-ping is addressed to the client itself,
+    # so the proxy can single it out; delaying it inflates η × self-ping,
+    # which over-subtracts from every landmark RTT and shrinks every disk
+    # (see ProxyMeasurer.CLIENT_LEG_BURSTS).  This delay-only attack fits
+    # the adversary model of Abdou & van Oorschot; ROADMAP item 2
+    # measures it.

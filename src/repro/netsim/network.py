@@ -12,14 +12,14 @@ because routes are circuitous.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
 
-from .. import config
 from .faults import FaultInjector, MeasurementFailed
 from .hosts import Host
+from .pathengine import PathEngine
 from .topology import RouterId, Topology
 
 
@@ -30,12 +30,12 @@ class Unreachable(Exception):
 class Network:
     """Latency oracle over a :class:`~repro.netsim.topology.Topology`.
 
-    Routed delays resolve through a batched CSR shortest-path engine
-    (:class:`~repro.netsim.pathengine.PathEngine`) by default;
-    ``path_engine="networkx"`` — or ``REPRO_PATH_ENGINE=networkx`` in the
-    environment — restores the original per-source pure-Python Dijkstra
-    oracle.  Both obey the canonical smaller-endpoint rule, so measured
-    RTTs never depend on cache history in either mode.
+    Routed delays resolve through :attr:`engine`, a batched CSR
+    shortest-path engine (:class:`~repro.netsim.pathengine.PathEngine`)
+    that obeys the canonical smaller-endpoint rule, so measured RTTs
+    never depend on cache history.  Any object with ``PathEngine``'s
+    public methods may be assigned to :attr:`engine` instead; the test
+    suite runs its networkx Dijkstra oracle that way.
 
     An optional :class:`~repro.netsim.faults.FaultInjector` can be
     installed (``faults_installed``); it only afflicts samples taken
@@ -46,41 +46,14 @@ class Network:
     no extra random draws.
     """
 
-    _PATH_CACHE_SLOTS = 4096
-
     def __init__(self, topology: Topology, seed: int = 0,
-                 faults: Optional[FaultInjector] = None,
-                 path_engine: Optional[str] = None):
-        from .pathengine import ENGINE_ENV, HAVE_SCIPY, PathEngine
-
+                 faults: Optional[FaultInjector] = None):
         self.topology = topology
         self._rng = np.random.default_rng(seed)
-        self._sssp_cache: Dict[RouterId, Dict[RouterId, float]] = {}
-        self._cached_version = topology.version
         self.faults = faults
         self._fault_time: Optional[float] = None
-        # An *explicit* engine choice (constructor argument or env knob)
-        # is honoured or rejected, never silently downgraded: asking for
-        # csr on a scipy-free host must fail loudly rather than hand
-        # back verdicts from a different oracle.  Only the implicit
-        # default may fall back to networkx when scipy is absent.
-        if path_engine is not None:
-            mode = config.PATH_ENGINE.parse(path_engine)
-            explicit = True
-        else:
-            mode = config.env_value(ENGINE_ENV)
-            explicit = config.is_set(ENGINE_ENV)
-        assert isinstance(mode, str)
-        if mode == "csr" and not HAVE_SCIPY:
-            if explicit:
-                raise RuntimeError(
-                    "path engine 'csr' was explicitly requested but scipy "
-                    f"is not installed; unset {ENGINE_ENV} or choose "
-                    "'networkx'")
-            mode = "networkx"
-        self.path_engine_mode = mode
-        self._engine: Optional[PathEngine] = (
-            PathEngine(topology) if mode == "csr" else None)
+        #: The shortest-path engine every routed delay comes from.
+        self.engine = PathEngine(topology)
         self._congestion: Optional[np.ndarray] = None
 
     # -- fault layer ----------------------------------------------------------
@@ -137,91 +110,36 @@ class Network:
             return self.faults
         return None
 
-    def _check_version(self) -> None:
-        """Drop shortest-path caches if the topology grew new routers."""
-        if self.topology.version != self._cached_version:
-            self._sssp_cache.clear()
-            self._cached_version = self.topology.version
-
     # -- deterministic part ---------------------------------------------------
-
-    def _distances_from(self, router: RouterId) -> Dict[RouterId, float]:
-        cached = self._sssp_cache.get(router)
-        if cached is None:
-            if router not in self.topology.graph:
-                raise Unreachable(f"router {router!r} is not in the graph")
-            cached = nx.single_source_dijkstra_path_length(
-                self.topology.graph, router, weight="latency_ms")
-            if len(self._sssp_cache) >= self._PATH_CACHE_SLOTS:
-                # Evict the oldest half (dicts preserve insertion order)
-                # rather than wiping the cache: a full clear mid-audit
-                # forces a thundering-herd recompute of every tree the
-                # working set still needs.
-                drop = len(self._sssp_cache) // 2
-                for key in list(self._sssp_cache)[:drop]:
-                    del self._sssp_cache[key]
-            self._sssp_cache[router] = cached
-        return cached
 
     def path_one_way_ms(self, a: RouterId, b: RouterId) -> float:
         """Routed one-way delay between two routers, ms."""
         if a == b:
             return 0.0
-        if self._engine is not None:
-            return self._engine.path_ms(a, b)
-        self._check_version()
-        # Always resolve from the canonically-smaller endpoint.  The two
-        # directions sum the same path in opposite orders and can differ
-        # in the last ulp; choosing by whichever tree happens to be cached
-        # would make measured RTTs depend on cache history, breaking the
-        # serial == parallel bit-identity of audits.
-        source, target = (a, b) if a <= b else (b, a)
-        distances = self._sssp_cache.get(source)
-        if distances is None:
-            distances = self._distances_from(source)
-        try:
-            return float(distances[target])
-        except KeyError:
-            raise Unreachable(f"no path between {a!r} and {b!r}") from None
+        return self.engine.path_ms(a, b)
 
     def path_pairs_ms(self, a_routers: Sequence[RouterId],
                       b_routers: Sequence[RouterId]) -> np.ndarray:
         """Routed one-way delays for aligned router pairs, ms.
 
-        In CSR mode every missing shortest-path tree is computed by one
-        batched multi-source Dijkstra; the networkx fallback resolves the
-        pairs one by one.  Both return exactly the floats
-        :meth:`path_one_way_ms` would.
+        Every missing shortest-path tree is computed by one batched
+        multi-source Dijkstra; each entry is exactly the float
+        :meth:`path_one_way_ms` would return.
         """
-        if self._engine is not None:
-            return self._engine.path_pairs_ms(a_routers, b_routers)
-        return np.array([self.path_one_way_ms(a, b)
-                         for a, b in zip(a_routers, b_routers)],
-                        dtype=np.float64)
+        return self.engine.path_pairs_ms(a_routers, b_routers)
 
     def topology_digest(self) -> str:
-        """Content digest of the router graph (nodes, edges, weights).
-
-        Engine-independent: the networkx fallback hashes exactly the
-        bytes the CSR engine does, so a service epoch captured under one
-        path engine matches the digest captured under the other.
-        """
-        from .pathengine import graph_digest
-
-        if self._engine is not None:
-            return self._engine.topology_digest()
-        return graph_digest(self.topology)
+        """Content digest of the router graph (nodes, edges, weights)."""
+        return self.engine.topology_digest()
 
     def warm_paths(self, hosts: Sequence[Host]) -> None:
         """Precompute shortest-path rows for a host universe.
 
         One batched Dijkstra covers every router the hosts attach to;
         called before an audit forks its worker pool so children inherit
-        the rows copy-on-write.  A no-op in networkx mode (the per-source
-        cache warms lazily there, as before).
+        the rows copy-on-write.
         """
-        if self._engine is not None:
-            self._engine.warm([host.router for host in hosts])
+        self.engine.warm([host.router for host in hosts])
 
     def route(self, a: RouterId, b: RouterId) -> list:
         """The router-level path between two routers (for traceroute).

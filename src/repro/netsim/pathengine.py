@@ -27,14 +27,11 @@ mutation (hosting-AS creation) rebuilds the CSR matrix and drops every
 cached row.
 
 **Determinism.** Dijkstra relaxations accumulate ``dist[u] + w(u, v)``
-along the shortest-path tree in both implementations, and on every
-substrate we generate the scipy and networkx results have been observed
-bit-identical.  The two *can* in principle diverge in the last ulp when
-distinct shortest paths tie exactly; routed delays therefore always come
-from one engine per process (``REPRO_PATH_ENGINE=networkx`` forces the
-old oracle), and the serial == parallel == resumed audit contract holds
-within either engine because rows are pure functions of the topology,
-independent of computation order.
+along the shortest-path tree, and on every substrate we generate the
+scipy rows have been observed bit-identical to per-source networkx
+Dijkstra (the test suite keeps that engine as its oracle).  The serial
+== parallel == resumed audit contract holds because rows are pure
+functions of the topology, independent of computation order.
 """
 
 from __future__ import annotations
@@ -44,21 +41,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import config, sanitize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
+from .. import sanitize
 from .topology import RouterId, Topology
-
-try:  # pragma: no cover - exercised implicitly by every engine test
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - container always ships scipy
-    HAVE_SCIPY = False
-
-#: Environment variable selecting the routed-delay oracle
-#: (``"networkx"`` restores the per-source pure-Python Dijkstra).
-#: Declared in :mod:`repro.config`; kept here for importers.
-ENGINE_ENV = config.PATH_ENGINE.name
 
 
 def graph_digest(topology: Topology) -> str:
@@ -94,10 +81,6 @@ class PathEngine:
     """
 
     def __init__(self, topology: Topology, max_rows: int = 4096):
-        if not HAVE_SCIPY:
-            raise RuntimeError(
-                "PathEngine requires scipy; set REPRO_PATH_ENGINE=networkx "
-                "to use the pure-Python oracle instead")
         if max_rows < 2:
             raise ValueError(f"max_rows too small: {max_rows!r}")
         self.topology = topology
@@ -202,12 +185,13 @@ class PathEngine:
     def path_ms(self, a: RouterId, b: RouterId) -> float:
         """Routed one-way delay between two routers, ms.
 
-        Resolves from the canonically-smaller endpoint, exactly like the
-        networkx oracle, so measured RTTs never depend on which
-        direction's row happens to be cached.
+        Resolves from the canonically-smaller endpoint: the two
+        directions sum the same path in opposite orders and can differ in
+        the last ulp, so choosing by whichever row happens to be cached
+        would make measured RTTs depend on cache history.
         """
         if a == b:
-            # Matches the networkx oracle: identity needs no graph entry.
+            # Identity needs no graph entry.
             return 0.0
         self._ensure_current()
         source, target = (a, b) if a <= b else (b, a)

@@ -13,13 +13,13 @@ machinery:
   country for an already-measured host costs one region/country
   intersection, not a measurement.
 
-Uncached queries are coalesced into micro-batches and multilaterated in
-single ``predict_fleet`` sweeps — N scalar queries become one vectorized
-pass.  Measurement streams stay keyed by ``(seed, host_id)`` exactly as
-in :func:`repro.experiments.run_audit`, so a verdict is byte-identical
-to the corresponding audit record's assessment at any batch size,
-arrival order, or worker count, and a cache hit is byte-identical to a
-cold recompute at the same epoch.
+Uncached queries are coalesced into micro-batches and measured by the
+audit's own kernel (:func:`repro.experiments.audit.measure_chunk`):
+each micro-batch is multilaterated in one ``predict_fleet`` sweep, and
+measurement streams stay keyed by ``(seed, host_id)``, so a verdict is
+byte-identical to the corresponding audit record's assessment at any
+batch size, arrival order, or worker count, and a cache hit is
+byte-identical to a cold recompute at the same epoch.
 
 Quarantine is a *measure-time filter*: phase panels are selected first
 (pool-size-dependent ``rng.choice`` draws untouched), then quarantined
@@ -34,35 +34,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
-
-import numpy as np
 
 from .. import config
 from ..core.assessment import assess_claim
 from ..core.base import GeolocationAlgorithm
 from ..core.cbgpp import CBGPlusPlus
-from ..core.disambiguation import AuditRecord
-from ..core.observations import RttObservation
-from ..core.proxy_adapter import ProxyMeasurer
 from ..core.resilience import RetryPolicy
-from ..core.twophase import (
-    MIN_MULTILATERATION_OBSERVATIONS,
-    TwoPhaseDriver,
-    TwoPhaseMeasurement,
-    TwoPhaseResult,
-    TwoPhaseSelector,
-)
-from ..experiments.audit import AuditSink, campaign_eta
+from ..core.twophase import TwoPhaseDriver, TwoPhaseSelector
+from ..experiments.audit import (AuditSink, MeasureContext, campaign_eta,
+                                 fault_environment, record_from_payload,
+                                 run_chunks)
+from ..experiments.checkpoint import ServerPayload
 from ..experiments.scenario import Scenario
 from ..geo.region import Region
 from ..lrucache import CacheInfo, LruCache
-from ..netsim.atlas import Landmark
-from ..netsim.faults import FaultInjector, MeasurementFailed, resolve_fault_profile
 from ..netsim.proxies import ProxyServer
 from .epoch import EpochRollStats, TopologyEpoch
 
@@ -72,12 +60,6 @@ Target = Union[ProxyServer, int, str]
 #: A verdict query: a bare target (claim defaults to the server's own
 #: claimed country) or a ``(target, claim)`` pair.
 Query = Union[Target, Tuple[Target, Optional[str]]]
-
-#: One evaluated measurement, in fork-safe wire form: ``(host_id,
-#: packed region bytes, deduced continent, used landmark names,
-#: requested landmark names (sorted), degraded, notes, observations)``.
-_Payload = Tuple[int, bytes, str, Tuple[str, ...], Tuple[str, ...], bool,
-                 Tuple[str, ...], tuple]
 
 
 @dataclass(frozen=True)
@@ -214,18 +196,6 @@ def _knob_or(name: str, override: Optional[int]) -> int:
     return default
 
 
-#: Shared state for forked service workers; set immediately before the
-#: pool is created so the fork snapshot carries the whole service —
-#: scenario, warm CSR rows, driver — as copy-on-write pages.
-_SERVICE_FORK_STATE: Optional["VerdictService"] = None
-
-
-def _service_fork_worker(host_ids: List[int]) -> List[_Payload]:
-    service = _SERVICE_FORK_STATE
-    assert service is not None
-    return service._evaluate_chunk(host_ids)
-
-
 class VerdictService:
     """A long-running claim-credibility oracle over one warmed scenario.
 
@@ -256,14 +226,7 @@ class VerdictService:
         # (explicit argument, else the scenario's own), so handing them
         # the original argument keeps all three resolutions identical.
         self._fault_profile_arg = fault_profile
-        self._profile = resolve_fault_profile(
-            fault_profile if fault_profile is not None
-            else scenario.fault_profile)
-        self._injector: Optional[FaultInjector] = None
-        if self._profile is not None:
-            self._injector = FaultInjector(self._profile, seed=seed)
-            self._injector.schedule_outages(
-                [lm.host.host_id for lm in scenario.atlas.all_landmarks()])
+        _, self._injector = fault_environment(scenario, seed, fault_profile)
         if algorithm is None:
             algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
         self.algorithm = algorithm
@@ -337,15 +300,17 @@ class VerdictService:
                 missing.append(at)
 
         if missing:
-            for host_id, payload in self._evaluate(unmeasured).items():
-                self._measurements.put((host_id, digest),
-                                       _measurement_from(payload))
+            # Answer from the fresh measurements themselves: the cache
+            # may already have evicted the batch's first ones.
+            measured = {host_id: _measurement_from(payload)
+                        for host_id, payload
+                        in self._evaluate(unmeasured).items()}
+            for host_id, measurement in measured.items():
+                self._measurements.put((host_id, digest), measurement)
             for at in missing:
                 server, claim = normalized[at]
-                measurement = self._measurements.peek(
-                    (server.host.host_id, digest))
-                assert measurement is not None
-                responses[at] = self._resolve(server, claim, measurement)
+                responses[at] = self._resolve(
+                    server, claim, measured[server.host.host_id])
         return [response for response in responses if response is not None]
 
     def region_of(self, target: Target) -> Region:
@@ -422,7 +387,7 @@ class VerdictService:
             targets = {host_id: self._by_host_id[host_id]
                        for host_id in sorted(flushed_hosts)
                        if host_id in self._by_host_id}
-            payloads = self._evaluate(targets)
+            payloads = self._evaluate(targets, assess=sink is not None)
             for host_id in sorted(payloads):
                 payload = payloads[host_id]
                 self._measurements.put((host_id, new.digest),
@@ -430,7 +395,9 @@ class VerdictService:
                 stats.reevaluated += 1
                 stats.reevaluated_hosts.append(host_id)
                 if sink is not None:
-                    sink.accept(self._record_from_payload(payload))
+                    sink.accept(record_from_payload(
+                        self._by_host_id[host_id], self.algorithm.grid,
+                        payload))
             for host_id, claim in flushed_claims:
                 measurement = self._measurements.peek((host_id, new.digest))
                 server = self._by_host_id.get(host_id)
@@ -526,154 +493,42 @@ class VerdictService:
                 measurement.region_bytes).hexdigest(),
             cached=cached)
 
-    def _measure_one(self, server: ProxyServer
-                     ) -> Tuple[Union[TwoPhaseMeasurement,
-                                      MeasurementFailed], Set[str]]:
-        """Collect one server's measurement under the quarantine filter.
-
-        RNG keying, measurer construction, and measurement-epoch scoping
-        mirror the audit pipeline's ``_collect_one`` exactly; the only
-        addition is the recording wrapper, which (a) accumulates every
-        landmark name the driver requests — the measurement's dependency
-        set — and (b) drops quarantined names at probe time, *after*
-        panel selection, so panels (and their RNG draws) are independent
-        of the quarantine set.
-        """
-        rng = np.random.default_rng((self.seed, server.host.host_id))
-        measurer = ProxyMeasurer(self.scenario.network, self.scenario.client,
-                                 server, eta=self.eta.eta,
-                                 seed=server.host.host_id,
-                                 retry_policy=self._retry_policy)
-        requested: Set[str] = set()
-        quarantined = self._quarantined
-
-        def measure(landmarks: Sequence[Landmark]) -> List[RttObservation]:
-            requested.update(lm.name for lm in landmarks)
-            kept = [lm for lm in landmarks if lm.name not in quarantined]
-            return measurer.observe(kept)
-
-        with self.scenario.network.measurement_epoch_for(server.host):
-            try:
-                return self._driver.collect(measure, rng), requested
-            except MeasurementFailed as exc:
-                return exc, requested
-
-    def _evaluate_chunk(self, host_ids: List[int]) -> List[_Payload]:
-        """Measure a chunk of hosts, one ``predict_fleet`` sweep.
-
-        The structure mirrors the audit pipeline's ``_fleet_payloads``:
-        measurement stays per-server, a dead tunnel yields the
-        empty-region payload, an observation-starved measurement is
-        finished scalar, and everything else shares one vectorized
-        multilateration pass.
-        """
-        payloads: List[_Payload] = []
-        fleet: List[tuple] = []
-        with self.scenario.network.faults_installed(self._injector):
-            for host_id in host_ids:
-                server = self._by_host_id.get(host_id)
-                assert server is not None
-                collected, requested = self._measure_one(server)
-                if isinstance(collected, MeasurementFailed):
-                    region = Region.empty(self.algorithm.grid)
-                    payloads.append((
-                        host_id, region.packed_bytes(), "unknown", (),
-                        tuple(sorted(requested)), True,
-                        (f"tunnel unreachable: {collected}",), ()))
-                elif (len(collected.observations)
-                      < MIN_MULTILATERATION_OBSERVATIONS):
-                    payloads.append(self._payload_from(
-                        host_id, self._driver.finish(collected), requested))
-                else:
-                    fleet.append((host_id, collected, requested))
-            if fleet:
-                predictions = self.algorithm.predict_fleet(
-                    [measurement.observations
-                     for _, measurement, _ in fleet])
-                for (host_id, measurement, requested), prediction in zip(
-                        fleet, predictions):
-                    payloads.append(self._payload_from(
-                        host_id,
-                        self._driver.finish(measurement, prediction),
-                        requested))
-        order = {host_id: at for at, host_id in enumerate(host_ids)}
-        payloads.sort(key=lambda payload: order[payload[0]])
-        return payloads
-
-    def _payload_from(self, host_id: int, result: TwoPhaseResult,
-                      requested: Set[str]) -> _Payload:
-        observations = (tuple(result.phase2_observations)
-                        + tuple(result.phase1_observations))
-        return (host_id, result.prediction.region.packed_bytes(),
-                result.deduced_continent, tuple(result.phase2_landmarks),
-                tuple(sorted(requested)), result.degraded,
-                tuple(result.notes), observations)
-
-    def _evaluate(self, targets: Dict[int, ProxyServer]
-                  ) -> Dict[int, _Payload]:
-        """Measure every target, micro-batched, optionally forked.
+    def _evaluate(self, targets: Dict[int, ProxyServer],
+                  assess: bool = False) -> Dict[int, ServerPayload]:
+        """Measure every target through the audit kernel, micro-batched
+        (``batch_max`` servers per ``predict_fleet`` sweep), forked over
+        ``workers`` processes when there is more than one batch.
 
         Ad-hoc targets (servers outside the fleet index) are registered
-        before evaluation so chunks can address them by host id; the
-        registration is permanent — the service now knows the host.
+        first; the registration is permanent — the service now knows
+        the host.  ``assess`` adds the own-claim assessment an
+        :class:`AuditRecord` needs.
         """
         for host_id, server in targets.items():
             if host_id not in self._by_host_id:
                 self._by_host_id[host_id] = server
                 self._by_hostname[server.hostname] = server
-        host_ids = list(targets)
-        chunks = [host_ids[at:at + self.batch_max]
-                  for at in range(0, len(host_ids), self.batch_max)]
-        out: Dict[int, _Payload] = {}
-        workers = min(self.workers, len(chunks))
-        use_fork = (workers > 1
-                    and "fork" in multiprocessing.get_all_start_methods())
-        if use_fork:
-            global _SERVICE_FORK_STATE
-            context = multiprocessing.get_context("fork")
-            _SERVICE_FORK_STATE = self
-            try:
-                with ProcessPoolExecutor(max_workers=workers,
-                                         mp_context=context) as pool:
-                    futures = [pool.submit(_service_fork_worker, chunk)
-                               for chunk in chunks]
-                    for future in as_completed(futures):
-                        for payload in future.result():
-                            out[payload[0]] = payload
-            finally:
-                _SERVICE_FORK_STATE = None
-        else:
-            for chunk in chunks:
-                for payload in self._evaluate_chunk(chunk):
-                    out[payload[0]] = payload
+        servers = list(targets.values())
+        context = MeasureContext(
+            scenario=self.scenario, driver=self._driver, eta=self.eta.eta,
+            seed=self.seed, injector=self._injector,
+            retry_policy=self._retry_policy, quarantined=self._quarantined)
+        chunks = [list(range(at, min(at + self.batch_max, len(servers))))
+                  for at in range(0, len(servers), self.batch_max)]
+        out: Dict[int, ServerPayload] = {}
+
+        def deliver(payload: ServerPayload) -> None:
+            out[payload.host_id] = payload
+
+        run_chunks(context, servers, chunks, self.workers, assess, deliver)
         return out
 
-    def _record_from_payload(self, payload: _Payload) -> AuditRecord:
-        """An audit record for the sink, built the audit pipeline's way."""
-        (host_id, packed, _continent, used, _requested, degraded, notes,
-         observations) = payload
-        server = self._by_host_id[host_id]
-        region = Region.from_packbits(self.algorithm.grid, packed)
-        assessment = assess_claim(region, server.claimed_country,
-                                  self.scenario.worldmap)
-        return AuditRecord(
-            server=server,
-            region=region,
-            assessment=assessment,
-            initial_verdict=assessment.verdict,
-            observations=list(observations),
-            landmark_names=list(used),
-            degraded=degraded,
-            failure_notes=list(notes))
 
-
-def _measurement_from(payload: _Payload) -> _Measurement:
-    (_host_id, packed, continent, used, requested, degraded, notes,
-     _observations) = payload
+def _measurement_from(payload: ServerPayload) -> _Measurement:
     return _Measurement(
-        region_bytes=packed,
-        deduced_continent=continent,
-        used_landmarks=used,
-        requested_landmarks=frozenset(requested),
-        degraded=degraded,
-        notes=notes)
+        region_bytes=payload.region_bytes,
+        deduced_continent=payload.deduced_continent,
+        used_landmarks=payload.used_landmarks,
+        requested_landmarks=frozenset(payload.requested_landmarks),
+        degraded=payload.degraded,
+        notes=payload.notes)

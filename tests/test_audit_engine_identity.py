@@ -1,9 +1,9 @@
-"""Cross-engine identity: the fleet audit engine vs the per-server one.
+"""Kernel identity: the audit's measurement kernel vs the per-server oracle.
 
-``REPRO_AUDIT_ENGINE=perserver`` restores the historical one-server-at-
-a-time pipeline.  The fleet engine batches the whole audit's
-multilateration into vectorised bank sweeps, but every record it emits
-must be *byte-identical* to the per-server engine's — under fault
+The kernel (``repro.experiments.audit.measure_chunk``) batches each
+chunk's multilateration into one vectorised bank sweep, but every record
+a ``run_audit`` emits must be *byte-identical* to the one-server-at-a-
+time pipeline kept as ``tests.oracles.perserver_audit`` — under fault
 injection, any worker count, and checkpoint/resume.  Also covers the
 ``predict_fleet`` front ends directly with a ragged-fleet property test
 (one-server fleets, uneven panel sizes, duplicate landmarks) and the
@@ -15,15 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import AUDIT_ENGINE
 from repro.core.cbgpp import CBGPlusPlus
 from repro.core.fleetpanel import build_fleet_panel
 from repro.core.observations import RttObservation
 from repro.core.octant import QuasiOctant
 from repro.experiments import run_audit
-from repro.geo.region import REGION_ENGINE_ENV
-
-AUDIT_ENGINE_ENV = AUDIT_ENGINE.name
+from tests.oracles import perserver_audit
 
 N_SERVERS = 60
 
@@ -43,78 +40,72 @@ def record_signature(result):
             for record in result.records]
 
 
-def run_with_engine(engine, *args, **kwargs):
-    patch = pytest.MonkeyPatch()
-    try:
-        patch.setenv(AUDIT_ENGINE_ENV, engine)
-        return run_audit(*args, **kwargs)
-    finally:
-        patch.undo()
-
-
 @pytest.fixture(scope="module")
 def perserver_lossy(scenario):
     """The per-server reference for the fault-injected 60-server audit."""
-    return run_with_engine("perserver", scenario, max_servers=N_SERVERS,
-                           seed=0, fault_profile="lossy-wan")
+    return perserver_audit(scenario, max_servers=N_SERVERS, seed=0,
+                           fault_profile="lossy-wan")
 
 
 class TestFleetVsPerServer:
     def test_serial_records_byte_identical(self, scenario, perserver_lossy):
-        fleet = run_with_engine("fleet", scenario, max_servers=N_SERVERS,
-                                seed=0, fault_profile="lossy-wan")
+        fleet = run_audit(scenario, max_servers=N_SERVERS, seed=0,
+                          fault_profile="lossy-wan")
         assert record_signature(fleet) == record_signature(perserver_lossy)
         assert fleet.eta == perserver_lossy.eta
         assert fleet.verdict_counts() == perserver_lossy.verdict_counts()
+        assert fleet.reclassified == perserver_lossy.reclassified
 
     def test_parallel_fleet_matches_too(self, scenario, perserver_lossy):
-        fleet = run_with_engine("fleet", scenario, max_servers=N_SERVERS,
-                                seed=0, fault_profile="lossy-wan", workers=3)
+        fleet = run_audit(scenario, max_servers=N_SERVERS, seed=0,
+                          fault_profile="lossy-wan", workers=3)
         assert record_signature(fleet) == record_signature(perserver_lossy)
 
     def test_checkpointed_and_resumed_fleet_matches(self, scenario, tmp_path,
                                                     perserver_lossy):
-        """Kill a checkpointed fleet audit mid-journal (torn last line),
-        resume it, and require byte-identity with the per-server run."""
+        """Kill a checkpointed audit mid-journal (torn last line), resume
+        it, and require byte-identity with the per-server run."""
         path = str(tmp_path / "audit.ckpt")
-        run_with_engine("fleet", scenario, max_servers=N_SERVERS, seed=0,
-                        fault_profile="lossy-wan", checkpoint_path=path)
+        run_audit(scenario, max_servers=N_SERVERS, seed=0,
+                  fault_profile="lossy-wan", checkpoint_path=path)
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert len(lines) == 1 + N_SERVERS
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[:9]) + "\n")
             handle.write(lines[9][:25])  # torn mid-write
-        resumed = run_with_engine("fleet", scenario, max_servers=N_SERVERS,
-                                  seed=0, fault_profile="lossy-wan",
-                                  checkpoint_path=path, resume=True)
+        resumed = run_audit(scenario, max_servers=N_SERVERS, seed=0,
+                            fault_profile="lossy-wan", checkpoint_path=path,
+                            resume=True)
         assert record_signature(resumed) == record_signature(perserver_lossy)
         with open(path, "r", encoding="utf-8") as handle:
             assert len(handle.read().splitlines()) == 1 + N_SERVERS
 
     def test_degraded_servers_take_identical_fallbacks(self, scenario):
-        """flaky-vpn drops tunnels and landmarks: both engines must agree
-        record for record, including the degraded fallbacks."""
-        fleet = run_with_engine("fleet", scenario, max_servers=24, seed=0,
-                                fault_profile="flaky-vpn")
-        reference = run_with_engine("perserver", scenario, max_servers=24,
-                                    seed=0, fault_profile="flaky-vpn")
+        """flaky-vpn drops tunnels and landmarks: kernel and oracle must
+        agree record for record, including the degraded fallbacks."""
+        fleet = run_audit(scenario, max_servers=24, seed=0,
+                          fault_profile="flaky-vpn")
+        reference = perserver_audit(scenario, max_servers=24, seed=0,
+                                    fault_profile="flaky-vpn")
         assert record_signature(fleet) == record_signature(reference)
 
     def test_blackout_all_servers_degraded_identically(self, scenario):
         """Every probe lost (all landmarks effectively quarantined): the
-        fleet engine must route every server through the degraded path
-        and still match the per-server engine byte for byte."""
-        fleet = run_with_engine("fleet", scenario, max_servers=6, seed=0,
-                                fault_profile="blackout")
-        reference = run_with_engine("perserver", scenario, max_servers=6,
-                                    seed=0, fault_profile="blackout")
+        kernel must route every server through the degraded path and
+        still match the per-server oracle byte for byte."""
+        fleet = run_audit(scenario, max_servers=6, seed=0,
+                          fault_profile="blackout")
+        reference = perserver_audit(scenario, max_servers=6, seed=0,
+                                    fault_profile="blackout")
         assert fleet.degraded_count == len(fleet.records) == 6
         assert record_signature(fleet) == record_signature(reference)
 
     def test_fleet_records_stay_packed_native(self, scenario):
-        result = run_with_engine("fleet", scenario, max_servers=12, seed=0)
-        assert all(r.region.is_packed_native for r in result.records)
+        """The memory win is real only if the audit path stays word-level:
+        assessment, disambiguation, and reporting must not force the lazy
+        boolean view of any record region."""
+        result = run_audit(scenario, max_servers=12, seed=0)
         assert not any(r.region.has_bool_view for r in result.records)
 
 
@@ -184,15 +175,6 @@ class TestRaggedFleetProperty:
         fleets = self._fleet_from(landmark_pool, shape_seed=5, n_servers=1)
         _predictions_match(algorithm.predict_fleet(fleets)[0],
                            algorithm.predict(fleets[0]))
-
-    def test_bool_region_engine_matches_as_well(self, scenario,
-                                                landmark_pool, monkeypatch):
-        monkeypatch.setenv(REGION_ENGINE_ENV, "bool")
-        algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
-        fleets = self._fleet_from(landmark_pool, shape_seed=11, n_servers=4)
-        for fleet_prediction, panel in zip(algorithm.predict_fleet(fleets),
-                                           fleets):
-            _predictions_match(fleet_prediction, algorithm.predict(panel))
 
     def test_empty_fleet_returns_empty(self, scenario):
         algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)

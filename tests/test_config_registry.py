@@ -9,13 +9,6 @@ import pytest
 
 from repro import config
 from repro.config import KnobError
-from repro.netsim import Network, build_cities, build_topology
-from repro.netsim import pathengine
-
-
-@pytest.fixture(scope="module")
-def topology():
-    return build_topology(build_cities(), seed=0)
 
 
 class TestRegistry:
@@ -26,7 +19,7 @@ class TestRegistry:
 
     def test_known_knobs_present(self):
         names = {k.name for k in config.all_knobs()}
-        assert {"REPRO_REGION_ENGINE", "REPRO_PATH_ENGINE",
+        assert {"REPRO_CAMPAIGN_SHARDS", "REPRO_SERVICE_BATCH_MAX",
                 "REPRO_SNAPSHOT_DIR", "REPRO_SANITIZE"} <= names
 
     def test_unknown_knob_name_is_keyerror(self):
@@ -38,22 +31,12 @@ class TestRegistry:
 
 class TestParsing:
     def test_unset_yields_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REGION_ENGINE", raising=False)
-        assert config.env_value("REPRO_REGION_ENGINE") == "packed"
-        assert not config.is_set("REPRO_REGION_ENGINE")
+        monkeypatch.delenv("REPRO_SERVICE_BATCH_MAX", raising=False)
+        assert config.env_value("REPRO_SERVICE_BATCH_MAX") == 32
 
     def test_empty_string_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REGION_ENGINE", "")
-        assert config.env_value("REPRO_REGION_ENGINE") == "packed"
-        assert not config.is_set("REPRO_REGION_ENGINE")
-
-    def test_invalid_choice_is_hard_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REGION_ENGINE", "typo")
-        with pytest.raises(KnobError) as excinfo:
-            config.env_value("REPRO_REGION_ENGINE")
-        message = str(excinfo.value)
-        assert "REPRO_REGION_ENGINE" in message
-        assert "packed" in message and "bool" in message
+        monkeypatch.setenv("REPRO_SERVICE_BATCH_MAX", "")
+        assert config.env_value("REPRO_SERVICE_BATCH_MAX") == 32
 
     def test_knob_error_is_a_value_error(self):
         assert issubclass(KnobError, ValueError)
@@ -104,31 +87,3 @@ class TestKnobTable:
         for declared in config.all_knobs():
             assert declared.name in readme, (
                 f"{declared.name} is registered but missing from README.md")
-
-
-class TestEngineSelection:
-    """The silent-fallback fix: an explicit csr request without scipy
-    must fail loudly instead of quietly downgrading to networkx."""
-
-    def test_typod_engine_value_fails_loudly(self, topology, monkeypatch):
-        monkeypatch.setenv("REPRO_PATH_ENGINE", "cs")  # typo'd "csr"
-        with pytest.raises(KnobError, match="REPRO_PATH_ENGINE"):
-            Network(topology, seed=0)
-
-    def test_explicit_csr_without_scipy_raises(self, topology, monkeypatch):
-        monkeypatch.setattr(pathengine, "HAVE_SCIPY", False)
-        with pytest.raises(RuntimeError, match="scipy"):
-            Network(topology, seed=0, path_engine="csr")
-
-    def test_explicit_env_csr_without_scipy_raises(self, topology,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_PATH_ENGINE", "csr")
-        monkeypatch.setattr(pathengine, "HAVE_SCIPY", False)
-        with pytest.raises(RuntimeError, match="REPRO_PATH_ENGINE"):
-            Network(topology, seed=0)
-
-    def test_implicit_default_still_falls_back(self, topology, monkeypatch):
-        monkeypatch.delenv("REPRO_PATH_ENGINE", raising=False)
-        monkeypatch.setattr(pathengine, "HAVE_SCIPY", False)
-        network = Network(topology, seed=0)
-        assert network.path_engine_mode == "networkx"

@@ -1,4 +1,12 @@
-"""Tests for data-centre and metadata disambiguation on crafted records."""
+"""Tests for data-centre and metadata disambiguation on crafted records.
+
+The metadata pass runs streaming (``Disambiguator``); every metadata case
+is checked against the batch pass kept as
+``tests.oracles.disambiguate_by_metadata``.
+"""
+
+import copy
+from dataclasses import replace
 
 import pytest
 
@@ -6,15 +14,30 @@ from repro.core import (
     AuditRecord,
     ClaimAssessment,
     ContinentVerdict,
+    Disambiguator,
     Verdict,
     disambiguate_by_datacenters,
-    disambiguate_by_metadata,
     group_by_metadata,
     metadata_group_key,
     refine_assessments,
 )
+from repro.experiments import run_audit
 from repro.geo import DataCenter, DataCenterRegistry, Region
 from repro.geodesy import SphericalDisk
+from tests.oracles import disambiguate_by_metadata
+
+#: A registry without data centres: only the metadata pass can act.
+NO_DATACENTERS = DataCenterRegistry([])
+
+
+def streamed_metadata_pass(records):
+    """Reclassifications the streaming pass makes (no data centres)."""
+    passes = Disambiguator(NO_DATACENTERS)
+    for record in records:
+        passes.accept(record)
+    passes.close()
+    assert passes.by_datacenter == 0
+    return passes.by_metadata
 
 
 def make_record(scenario, server, center, radius_km, claimed=None):
@@ -94,28 +117,64 @@ class TestMetadataPass:
         if len(same_site) < 2:
             pytest.skip("fleet slice lacks a 2-host site")
         a, b = same_site[:2]
-        record_a = make_record(scenario, a, (48.2, 14.3), 180.0, claimed="AT")
-        record_b = make_record(scenario, b, (47.5, 15.5), 180.0, claimed="DE")
+
+        def pair():
+            return [make_record(scenario, a, (48.2, 14.3), 180.0,
+                                claimed="AT"),
+                    make_record(scenario, b, (47.5, 15.5), 180.0,
+                                claimed="DE")]
+
+        record_a, record_b = pair()
         common = (set(record_a.assessment.countries_covered)
                   & set(record_b.assessment.countries_covered))
         if common != {"AT"}:
             pytest.skip("rasterisation gave a different common set")
-        n = disambiguate_by_metadata([record_a, record_b], scenario.worldmap)
+        n = disambiguate_by_metadata([record_a, record_b])
         resolved = [r for r in (record_a, record_b)
                     if r.assessment.resolution_method == "metadata"]
         assert n == len(resolved)
         for record in resolved:
             assert record.assessment.resolved_country == "AT"
+        streamed = pair()
+        assert streamed_metadata_pass(streamed) == n
+        assert ([r.assessment for r in streamed]
+                == [record_a.assessment, record_b.assessment])
 
     def test_singleton_groups_skipped(self, scenario, uncertain_record):
-        n = disambiguate_by_metadata([uncertain_record], scenario.worldmap)
+        n = disambiguate_by_metadata([uncertain_record])
         assert n == 0
+        assert streamed_metadata_pass([uncertain_record]) == 0
+        assert uncertain_record.assessment.verdict is Verdict.UNCERTAIN
+
+    def test_streaming_matches_batch_on_an_audit(self, scenario):
+        """Over a real fleet slice, in fleet order and reversed, the
+        streaming passes reclassify exactly what the batch passes do."""
+        records = run_audit(scenario, max_servers=150, seed=0,
+                            disambiguate=False).records
+
+        def fresh():
+            return [replace(r, assessment=copy.deepcopy(r.assessment))
+                    for r in records]
+
+        reference = fresh()
+        by_datacenter = disambiguate_by_datacenters(reference,
+                                                    scenario.datacenters)
+        by_metadata = disambiguate_by_metadata(reference)
+        assert by_metadata > 0, "slice too small to exercise the pass"
+        for order in (1, -1):
+            streamed = fresh()
+            counts = refine_assessments(streamed[::order],
+                                        scenario.datacenters)
+            assert counts == {"datacenter": by_datacenter,
+                              "metadata": by_metadata,
+                              "total": by_datacenter + by_metadata}
+            assert ([r.assessment for r in streamed]
+                    == [r.assessment for r in reference])
 
 
 class TestRefineAssessments:
     def test_counts_reported(self, scenario, uncertain_record):
         registry = DataCenterRegistry([DataCenter("ES", "ES", 40.42, -3.70)])
-        counts = refine_assessments([uncertain_record], registry,
-                                    scenario.worldmap)
+        counts = refine_assessments([uncertain_record], registry)
         assert counts["datacenter"] == 1
         assert counts["total"] == counts["datacenter"] + counts["metadata"]

@@ -130,9 +130,7 @@ class TestWarmSelectionAndEta:
         # A seed no other test uses: default_scenario memoises, and the
         # shared instance is already warm from the session audit.
         fresh = default_scenario(seed=97)
-        engine = fresh.network._engine
-        if engine is None:
-            pytest.skip("networkx oracle warms lazily")
+        engine = fresh.network.engine
         run_audit(fresh, max_servers=4, seed=0)
         audited = fresh.all_servers()[:4]
         landmark_routers = {lm.host.router
@@ -150,9 +148,7 @@ class TestWarmSelectionAndEta:
     def test_repeated_audit_does_not_recompute_warm_rows(self, scenario):
         """Warming the same fleet twice must be a no-op, not a second
         multi-source Dijkstra (the warm 60-server bench regression)."""
-        engine = scenario.network._engine
-        if engine is None:
-            pytest.skip("networkx oracle warms lazily")
+        engine = scenario.network.engine
         run_audit(scenario, max_servers=10, seed=0)
         calls = []
         original = engine._compute_rows

@@ -1,9 +1,10 @@
-"""Property tests for the packed (uint64 bitset) Region engine.
+"""Property tests for the packed (uint64 bitset) Region representation.
 
-Every operation on a packed-native region must agree bit for bit with
-the plain boolean reference — including on grids whose cell count is not
-a multiple of 64 (the padding bits of the last word must stay invisible)
-and at the empty/full extremes.
+Every operation on a region, and every ``WorldMap`` query over one, must
+agree bit for bit with the plain boolean formula (``tests.oracles``) —
+including on grids whose cell count is not a multiple of 64 (the padding
+bits of the last word must stay invisible) and at the empty/full
+extremes.
 """
 
 import numpy as np
@@ -11,15 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import Grid
-from repro.geo.region import (
-    REGION_ENGINE_ENV,
-    Region,
-    n_words_for,
-    pack_bits,
-    region_engine,
-    unpack_bits,
-)
+from repro.geo import Grid, WorldMap
+from repro.geo.region import Region, n_words_for, pack_bits, unpack_bits
+from tests import oracles
 
 #: Grids whose n_cells leave a ragged tail word (4050 % 64 == 18,
 #: 648 % 64 == 8): the padding-bit contract is exercised on every op.
@@ -33,9 +28,18 @@ def ragged_grid(request):
     return grid
 
 
+@pytest.fixture(scope="module")
+def ragged_worldmap(ragged_grid):
+    return WorldMap(grid=ragged_grid)
+
+
 def random_mask(grid, seed, density=0.3):
     rng = np.random.default_rng(seed)
     return rng.random(grid.n_cells) < density
+
+
+#: Region densities from empty through a few scattered cells to dense.
+DENSITIES = st.sampled_from([0.0, 0.002, 0.02, 0.3])
 
 
 class TestPackHelpers:
@@ -137,30 +141,106 @@ class TestPackedAlgebra:
 
 
 class TestEngineDispatch:
-    def test_default_engine_is_packed(self, ragged_grid, monkeypatch):
-        monkeypatch.delenv(REGION_ENGINE_ENV, raising=False)
-        assert region_engine() == "packed"
-        region = Region(ragged_grid, random_mask(ragged_grid, 1))
-        assert region.is_packed_native
-        assert not region.has_bool_view
-        _ = region.mask
-        assert region.has_bool_view   # lazy view materialised and cached
-
-    def test_bool_engine_restores_reference(self, ragged_grid, monkeypatch):
-        monkeypatch.setenv(REGION_ENGINE_ENV, "bool")
-        mask = random_mask(ragged_grid, 2)
+    def test_default_engine_is_packed(self, ragged_grid):
+        mask = random_mask(ragged_grid, 1)
         region = Region(ragged_grid, mask)
-        assert not region.is_packed_native
-        assert region.mask is mask    # stored directly, no copy
-        words = pack_bits(mask)
-        assert Region.from_words(ragged_grid, words) == region
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(REGION_ENGINE_ENV, "vectorised")
-        with pytest.raises(ValueError, match="REPRO_REGION_ENGINE"):
-            region_engine()
+        assert np.array_equal(region.words, pack_bits(mask))
+        assert not region.has_bool_view
+        assert np.array_equal(region.mask, mask)
+        assert region.has_bool_view   # lazy view materialised and cached
 
     def test_packed_resident_memory_is_smaller(self, ragged_grid):
         mask = random_mask(ragged_grid, 3)
         packed = Region(ragged_grid, mask)
         assert packed.resident_nbytes() * 4 < mask.nbytes
+
+
+class TestQueriesMatchBooleanFormulas:
+    """The queries that once had a boolean branch, against that formula."""
+
+    @given(seed=st.integers(0, 1000), other=st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_intersect_mask(self, ragged_grid, seed, other):
+        mask = random_mask(ragged_grid, seed)
+        other_mask = random_mask(ragged_grid, other, density=0.6)
+        result = Region(ragged_grid, mask).intersect_mask(other_mask)
+        assert np.array_equal(result.mask,
+                              oracles.bool_intersect_mask(mask, other_mask))
+
+    @given(seed=st.integers(0, 1000), other=st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_intersect_words(self, ragged_grid, seed, other):
+        mask = random_mask(ragged_grid, seed)
+        words = pack_bits(random_mask(ragged_grid, other, density=0.6))
+        result = Region(ragged_grid, mask).intersect_words(words)
+        assert np.array_equal(result.mask,
+                              oracles.bool_intersect_words(mask, words))
+
+    @given(seed=st.integers(0, 1000),
+           lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
+    @settings(max_examples=60, deadline=None)
+    def test_contains(self, ragged_grid, seed, lat, lon):
+        mask = random_mask(ragged_grid, seed)
+        assert (Region(ragged_grid, mask).contains(lat, lon)
+                == oracles.bool_contains(ragged_grid, mask, lat, lon))
+
+    @given(seed=st.integers(0, 1000), pick=st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_contains_cells(self, ragged_grid, seed, pick):
+        mask = random_mask(ragged_grid, seed)
+        cells = np.random.default_rng(pick).integers(
+            0, ragged_grid.n_cells, size=64)
+        cells[:2] = (0, ragged_grid.n_cells - 1)   # both raster ends
+        assert np.array_equal(
+            Region(ragged_grid, mask).contains_cells(cells),
+            oracles.bool_contains_cells(mask, cells))
+
+    @given(seed=st.integers(0, 1000), density=DENSITIES)
+    @settings(max_examples=30, deadline=None)
+    def test_clip_to_plausible(self, ragged_worldmap, seed, density):
+        mask = random_mask(ragged_worldmap.grid, seed, density)
+        clipped = ragged_worldmap.clip_to_plausible(
+            Region(ragged_worldmap.grid, mask))
+        assert np.array_equal(
+            clipped.mask, oracles.bool_clip_to_plausible(ragged_worldmap,
+                                                         mask))
+
+    @given(seed=st.integers(0, 1000), density=DENSITIES)
+    @settings(max_examples=30, deadline=None)
+    def test_countries_covered(self, ragged_worldmap, seed, density):
+        mask = random_mask(ragged_worldmap.grid, seed, density)
+        assert (ragged_worldmap.countries_covered(
+                    Region(ragged_worldmap.grid, mask))
+                == oracles.bool_countries_covered(ragged_worldmap, mask))
+
+    @given(seed=st.integers(0, 1000), density=DENSITIES,
+           country=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_covers_country(self, ragged_worldmap, seed, density, country):
+        codes = ragged_worldmap.registry.codes()
+        iso2 = codes[country % len(codes)]
+        mask = random_mask(ragged_worldmap.grid, seed, density)
+        assert (ragged_worldmap.covers_country(
+                    Region(ragged_worldmap.grid, mask), iso2)
+                == oracles.bool_covers_country(ragged_worldmap, mask, iso2))
+
+    @given(seed=st.integers(0, 1000),
+           density=st.sampled_from([0.0, 0.001, 0.005, 0.02]),
+           country=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_distance_to_country_km(self, ragged_worldmap, seed, density,
+                                    country):
+        codes = ragged_worldmap.registry.codes()
+        iso2 = codes[country % len(codes)]
+        mask = random_mask(ragged_worldmap.grid, seed, density)
+        region = Region(ragged_worldmap.grid, mask)
+        try:
+            expected = oracles.bool_distance_to_country_km(
+                ragged_worldmap, mask, iso2)
+        except ValueError:
+            # A country the coarse raster gave no cell: both refuse.
+            with pytest.raises(ValueError):
+                ragged_worldmap.distance_to_country_km(region, iso2)
+            return
+        assert ragged_worldmap.distance_to_country_km(region,
+                                                      iso2) == expected

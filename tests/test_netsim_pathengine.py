@@ -1,17 +1,17 @@
 """Tests for the CSR-backed batched shortest-path engine.
 
 The engine's contract is strict: every routed delay it returns must be
-bit-identical to the per-source networkx oracle it replaces, whatever
-mix of scalar, batched, or warmed lookups produced it.
+bit-identical to the per-source networkx oracle it replaced
+(``tests.oracles.NetworkxPathEngine``), whatever mix of scalar, batched,
+or warmed lookups produced it.
 """
 
 import numpy as np
 import pytest
 
 from repro.netsim import HostFactory, Network, Unreachable, build_cities, build_topology
-from repro.netsim.pathengine import ENGINE_ENV, HAVE_SCIPY, PathEngine
-
-pytestmark = pytest.mark.skipif(not HAVE_SCIPY, reason="engine needs scipy")
+from repro.netsim.pathengine import PathEngine
+from tests.oracles import NetworkxPathEngine
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +19,17 @@ def topology():
     return build_topology(build_cities(), seed=0)
 
 
+def oracle_network(topology):
+    """A Network whose routed delays come from the networkx oracle."""
+    network = Network(topology, seed=0)
+    network.engine = NetworkxPathEngine(topology)
+    return network
+
+
 @pytest.fixture(scope="module")
 def engines(topology):
-    """(csr network, networkx network) over one shared topology."""
-    return (Network(topology, seed=0, path_engine="csr"),
-            Network(topology, seed=0, path_engine="networkx"))
+    """(csr network, networkx oracle network) over one shared topology."""
+    return Network(topology, seed=0), oracle_network(topology)
 
 
 @pytest.fixture(scope="module")
@@ -34,20 +40,14 @@ def routers(topology):
 
 
 class TestEngineSelection:
-    def test_modes(self, topology):
-        assert Network(topology, seed=0,
-                       path_engine="csr").path_engine_mode == "csr"
-        fallback = Network(topology, seed=0, path_engine="networkx")
-        assert fallback.path_engine_mode == "networkx"
-        assert fallback._engine is None
-
-    def test_env_var_selects_fallback(self, topology, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "networkx")
-        assert Network(topology, seed=0).path_engine_mode == "networkx"
-
-    def test_invalid_mode_rejected(self, topology):
-        with pytest.raises(ValueError):
-            Network(topology, seed=0, path_engine="quantum")
+    def test_modes(self, topology, routers):
+        """Network routes every delay through its ``engine``: PathEngine
+        by default, or whatever engine a caller assigns."""
+        assert isinstance(Network(topology, seed=0).engine, PathEngine)
+        oracle = oracle_network(topology)
+        assert oracle.engine.n_rows == 0
+        oracle.path_pairs_ms(routers[:3], routers[3:6])
+        assert oracle.engine.n_rows > 0
 
 
 class TestBitIdentity:
@@ -69,14 +69,21 @@ class TestBitIdentity:
         assert np.array_equal(batch, scalars)
 
     def test_warmed_batch_matches_cold_batch(self, topology, routers):
-        cold = Network(topology, seed=0, path_engine="csr")
-        warm = Network(topology, seed=0, path_engine="csr")
+        cold = Network(topology, seed=0)
+        warm = Network(topology, seed=0)
         rng = np.random.default_rng(13)
         a_list = [routers[i] for i in rng.integers(0, len(routers), 150)]
         b_list = [routers[i] for i in rng.integers(0, len(routers), 150)]
-        warm._engine.warm(routers)
+        warm.engine.warm(routers)
         assert np.array_equal(warm.path_pairs_ms(a_list, b_list),
                               cold.path_pairs_ms(a_list, b_list))
+
+    def test_rows_and_digest_match_oracle(self, topology, routers):
+        engine, oracle = PathEngine(topology), NetworkxPathEngine(topology)
+        for router in routers[:6]:
+            assert np.array_equal(engine.distances_from(router),
+                                  oracle.distances_from(router))
+        assert engine.topology_digest() == oracle.topology_digest()
 
     def test_direction_and_identity(self, engines, routers):
         csr, _ = engines
@@ -157,15 +164,3 @@ class TestRowCache:
         fresh = PathEngine(topology)
         assert np.array_equal(engine.distances_from(routers[0]),
                               fresh.distances_from(routers[0]))
-
-    def test_network_sssp_cache_evicts_oldest_half(self, topology, routers):
-        network = Network(topology, seed=0, path_engine="networkx")
-        network._PATH_CACHE_SLOTS = 8
-        for router in routers[:8]:
-            network._distances_from(router)
-        oldest, newest = routers[0], routers[7]
-        network._distances_from(routers[8])     # triggers eviction
-        assert oldest not in network._sssp_cache
-        assert newest in network._sssp_cache
-        assert routers[8] in network._sssp_cache
-        assert len(network._sssp_cache) == 5

@@ -1,94 +1,35 @@
-"""Cross-engine identity: the packed Region engine vs the boolean reference.
+"""Reference identities that outlived the boolean region engine.
 
-``REPRO_REGION_ENGINE=bool`` restores the historical boolean
-representation end to end.  Every algorithm front-end and the full audit
-pipeline must produce *byte-identical* results under either engine — the
-packed engine is an optimisation, never a semantic change.  Also covers
-the partition-based credible-set selection against its argsort reference
-and the ``cached_audit`` hit/miss counters.
+An audit and its reporting never force a region's boolean view, the
+partition-based credible-set selection matches its argsort reference,
+and the ``cached_audit`` hit/miss counters.  (Every packed
+``Region``/``WorldMap`` query is pinned against its boolean formula in
+``test_geo_region_packed.py``; audit records against the per-server
+oracle in ``test_audit_engine_identity.py``.)
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    CBG,
-    CBGPlusPlus,
-    OctantSpotterHybrid,
-    QuasiOctant,
-    Spotter,
-)
 from repro.core import multilateration as ml
 from repro.experiments import cached_audit, run_audit
 from repro.experiments import audit as audit_module
-from repro.geo.region import REGION_ENGINE_ENV
-
-ALL_ALGORITHMS = [CBG, CBGPlusPlus, QuasiOctant, Spotter, OctantSpotterHybrid]
-
-
-@pytest.fixture(scope="module")
-def observation_panel(scenario):
-    """A warm 25-landmark panel from a Paris-area host."""
-    from repro.core.proxy_adapter import ProxyMeasurer
-
-    server = scenario.all_servers()[0]
-    measurer = ProxyMeasurer(scenario.network, scenario.client, server,
-                             seed=server.host.host_id)
-    rng = np.random.default_rng(7)
-    return measurer.observe(scenario.atlas.anchors[:25], rng)
-
-
-class TestFrontEndIdentity:
-    @pytest.mark.parametrize("algorithm_class", ALL_ALGORITHMS)
-    def test_prediction_identical_under_both_engines(
-            self, scenario, observation_panel, algorithm_class, monkeypatch):
-        predictions = {}
-        for engine in ("packed", "bool"):
-            monkeypatch.setenv(REGION_ENGINE_ENV, engine)
-            algorithm = algorithm_class(scenario.calibrations,
-                                        scenario.worldmap)
-            predictions[engine] = algorithm.predict(observation_panel)
-        packed, reference = predictions["packed"], predictions["bool"]
-        assert packed.region.is_packed_native
-        assert not reference.region.is_packed_native
-        assert packed.region.packed_bytes() == reference.region.packed_bytes()
-        assert np.array_equal(packed.region.mask, reference.region.mask)
-        assert packed.used_landmarks == reference.used_landmarks
-        assert packed.discarded_landmarks == reference.discarded_landmarks
-        assert packed.failed == reference.failed
 
 
 class TestAuditIdentity:
-    def test_audit_records_byte_identical(self, scenario, monkeypatch):
-        """The acceptance bar: a fleet audit slice, bool vs packed."""
-        results = {}
-        for engine in ("packed", "bool"):
-            monkeypatch.setenv(REGION_ENGINE_ENV, engine)
-            results[engine] = run_audit(scenario, max_servers=12, seed=0)
-        packed, reference = results["packed"], results["bool"]
-        assert len(packed.records) == len(reference.records) == 12
-        assert packed.verdict_counts() == reference.verdict_counts()
-        for a, b in zip(packed.records, reference.records):
-            assert a.region.packed_bytes() == b.region.packed_bytes()
-            assert a.assessment == b.assessment
-            assert a.initial_verdict == b.initial_verdict
-            assert a.landmark_names == b.landmark_names
-            assert a.degraded == b.degraded
-            assert [(o.landmark_name, o.lat, o.lon, o.one_way_ms)
-                    for o in a.observations] == \
-                   [(o.landmark_name, o.lat, o.lon, o.one_way_ms)
-                    for o in b.observations]
-
-    def test_packed_records_never_materialise_bool_masks(self, scenario,
-                                                         monkeypatch):
+    def test_packed_records_never_materialise_bool_masks(self, scenario):
         """The memory win is real only if the audit path stays word-level:
         assessment, disambiguation, and reporting must not force the lazy
         boolean view of any record region."""
-        monkeypatch.setenv(REGION_ENGINE_ENV, "packed")
         result = run_audit(scenario, max_servers=12, seed=0)
-        assert all(r.region.is_packed_native for r in result.records)
+        assert len(result.records) == 12
+        result.verdict_counts()
+        result.verdict_counts(initial=True)
+        result.category_counts()
+        result.agreement_rate()
+        result.agreement_rate(generous=False)
+        result.ground_truth_accuracy()
         assert not any(r.region.has_bool_view for r in result.records)
 
 

@@ -176,7 +176,7 @@ class TestCallGraph:
             "pkg.child", fn.calls[0]) == "pkg.base.Base.shared"
 
     def test_annotation_typed_local_resolves_method(self, tmp_path):
-        # the _SERVICE_FORK_STATE pattern: a module global annotated
+        # a fork-state hand-off: a module global annotated
         # Optional["Service"], loaded into a local, then a method call.
         facts = facts_for(tmp_path, {
             "src/pkg/svc.py": (

@@ -15,12 +15,12 @@ from repro import sanitize
 from repro.core.assessment import ClaimAssessment, ContinentVerdict, Verdict
 from repro.core.observations import RttObservation
 from repro.experiments import run_audit
-from repro.experiments.checkpoint import AuditCheckpoint
+from repro.experiments.checkpoint import AuditCheckpoint, ServerPayload
 from repro.geo import Grid
 from repro.geo.bank import DistanceBank
 from repro.geo.region import Region
 from repro.netsim import build_cities, build_topology
-from repro.netsim.pathengine import HAVE_SCIPY, PathEngine
+from repro.netsim.pathengine import PathEngine
 from repro.sanitize import SanitizerError
 
 
@@ -115,7 +115,6 @@ class TestDistanceBank:
 
 # -- path-engine spot check ---------------------------------------------------
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="CSR engine needs scipy")
 class TestPathEngineSpotCheck:
     def test_divergence_from_oracle_fires(self, sanitized, monkeypatch):
         topology = build_topology(build_cities(), seed=0)
@@ -146,7 +145,11 @@ def _payload(one_way_ms=12.5):
         region_area_km2=1000.0,
     )
     observation = RttObservation("lm-0", 52.5, 13.4, one_way_ms)
-    return (0, b"\xff\x00", assessment, [observation], ["lm-0"], False, [])
+    return ServerPayload(
+        host_id=7, region_bytes=b"\xff\x00", deduced_continent="EU",
+        used_landmarks=("lm-0",), requested_landmarks=("lm-0", "lm-1"),
+        degraded=False, notes=(), observations=(observation,), index=0,
+        assessment=assessment)
 
 
 def _checkpoint(tmp_path):

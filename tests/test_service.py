@@ -205,6 +205,19 @@ class TestVerdictDeterminism:
             response = other.verdict(query)
             assert response.canonical_json() == baseline[response.host_id]
 
+    def test_batch_larger_than_measurement_cache(self, service, scenario):
+        """A batch with more uncached hosts than cache slots evicts its
+        own first measurements before answering them; every answer must
+        still match a service whose cache holds the whole batch."""
+        hosts = scenario.all_servers()[:12]
+        small = VerdictService(scenario, seed=0, cache_slots=4)
+        answers = small.verdict_batch(hosts)
+        assert small.cache_info()["measurements"].currsize == 4
+        assert ([r.canonical_json() for r in answers]
+                == [r.canonical_json() for r in service.verdict_batch(hosts)])
+        assert [r.canonical_json() for r in answers] == [
+            small.verdict(host).canonical_json() for host in hosts]
+
     def test_new_claim_on_measured_host_skips_measurement(
             self, service, scenario, fleet):
         first = service.verdict(fleet[0])
