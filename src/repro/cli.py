@@ -23,6 +23,17 @@ from typing import List, Optional
 import numpy as np
 
 
+def _count(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports "invalid count value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def _scenario(args):
     from .experiments import build_scenario, default_scenario
     if args.seed == 0:
@@ -74,7 +85,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from . import config
     from .experiments.campaign import (
         DeploymentPlan,
         merge_campaign,
@@ -87,15 +97,15 @@ def _cmd_campaign(args) -> int:
         print("--shard-index and --merge are mutually exclusive",
               file=sys.stderr)
         return 2
-    journal_dir = args.journal_dir or config.env_value("REPRO_CAMPAIGN_DIR")
-    if (args.shard_index is not None or args.merge) and not journal_dir:
-        print("--shard-index/--merge need --journal-dir (or "
-              "REPRO_CAMPAIGN_DIR): the journals must outlive this "
-              "invocation", file=sys.stderr)
+    if (args.shard_index is not None or args.merge) and not args.journal_dir:
+        print("--shard-index/--merge need --journal-dir: the journals "
+              "must outlive this invocation", file=sys.stderr)
         return 2
     shards = args.shards
-    if shards is None:
-        shards = int(config.env_value("REPRO_CAMPAIGN_SHARDS"))
+    if args.shard_index is not None and not 0 <= args.shard_index < shards:
+        print(f"--shard-index must be in [0, {shards}) for --shards "
+              f"{shards}, got {args.shard_index}", file=sys.stderr)
+        return 2
     plan = (DeploymentPlan.from_file(args.plan) if args.plan
             else DeploymentPlan())
     scenario = (paper_scale_scenario(seed=args.seed) if args.paper_scale
@@ -103,7 +113,7 @@ def _cmd_campaign(args) -> int:
     if args.shard_index is not None:
         summary = run_campaign_shard(
             scenario, plan, shards=shards, shard_index=args.shard_index,
-            journal_dir=str(journal_dir), seed=args.seed,
+            journal_dir=args.journal_dir, seed=args.seed,
             workers=args.workers, fault_profile=args.fault_profile,
             resume=args.resume)
         state = "skipped (already finalized)" if summary.skipped else "done"
@@ -115,15 +125,14 @@ def _cmd_campaign(args) -> int:
         return 0
     if args.merge:
         report = merge_campaign(scenario, plan, shards=shards,
-                                journal_dir=str(journal_dir),
+                                journal_dir=args.journal_dir,
                                 seed=args.seed,
                                 fault_profile=args.fault_profile)
     else:
         run = run_campaign(scenario, plan, shards=shards,
                            workers=args.workers, seed=args.seed,
                            fault_profile=args.fault_profile,
-                           journal_dir=(str(journal_dir) if journal_dir
-                                        else None),
+                           journal_dir=args.journal_dir,
                            resume=args.resume)
         for summary in run.shards:
             state = "skipped" if summary.skipped else "done"
@@ -257,7 +266,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .service import VerdictService
+    from .service import ServiceFrontend, VerdictService
     from .service.frontend import serve_blocking
     scenario = _scenario(args)
     service = VerdictService(scenario, seed=args.seed,
@@ -274,9 +283,8 @@ def _cmd_serve(args) -> int:
         print(f"warmed {len(warmed)} verdicts into the cache")
         scenario.atlas.save_mesh_archive()
     _report_archive(scenario)
-    stats = serve_blocking(service, host=args.host, port=args.port,
-                           queue_max=args.queue_max,
-                           batch_max=args.batch_max,
+    stats = serve_blocking(ServiceFrontend(service, queue_max=args.queue_max),
+                           host=args.host, port=args.port,
                            max_requests=args.max_requests)
     info = service.cache_info()
     print(f"served {stats.responses} verdicts "
@@ -296,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     audit = commands.add_parser("audit", help="audit the simulated VPN fleet")
-    audit.add_argument("--servers", type=int, default=None,
+    audit.add_argument("--servers", type=_count(0), default=None,
                        help="limit the number of servers (default: all)")
     audit.add_argument("--ground-truth", action="store_true",
                        help="also report accuracy vs simulator ground truth")
-    audit.add_argument("--workers", type=int, default=1,
+    audit.add_argument("--workers", type=_count(1), default=1,
                        help="audit servers in N parallel processes")
     from .netsim.faults import FAULT_PROFILES
     audit.add_argument("--fault-profile", default=None,
@@ -321,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSON DeploymentPlan (default: whole fleet)")
     campaign.add_argument("--paper-scale", action="store_true",
                           help="audit the full paper-scale (~2,269+) fleet")
-    campaign.add_argument("--shards", type=int, default=None,
-                          help="shard count (default: REPRO_CAMPAIGN_SHARDS)")
+    campaign.add_argument("--shards", type=_count(1), default=1,
+                          help="shard count (default: %(default)s)")
     campaign.add_argument("--shard-index", type=int, default=None,
                           metavar="I",
                           help="run only shard I (needs --journal-dir; "
@@ -332,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "campaign report without auditing")
     campaign.add_argument("--journal-dir", default=None, metavar="DIR",
                           help="directory for shard + merged journals "
-                               "(default: REPRO_CAMPAIGN_DIR or a "
-                               "temporary directory)")
-    campaign.add_argument("--workers", type=int, default=1,
+                               "(default: a temporary directory)")
+    campaign.add_argument("--workers", type=_count(1), default=1,
                           help="audit processes per shard")
     campaign.add_argument("--fault-profile", default=None,
                           choices=sorted(FAULT_PROFILES),
@@ -373,25 +380,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interface to bind (default: loopback)")
     serve.add_argument("--port", type=int, default=8737,
                        help="TCP port (0 = ephemeral)")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_count(1), default=1,
                        help="fork-pool workers for uncached micro-batches "
-                            "(default: REPRO_SERVICE_WORKERS)")
-    serve.add_argument("--batch-max", type=int, default=None,
+                            "(default: %(default)s)")
+    serve.add_argument("--batch-max", type=_count(1), default=32,
                        help="largest coalesced micro-batch "
-                            "(default: REPRO_SERVICE_BATCH_MAX)")
-    serve.add_argument("--queue-max", type=int, default=None,
+                            "(default: %(default)s)")
+    serve.add_argument("--queue-max", type=_count(1), default=256,
                        help="pending-request bound before shedding "
-                            "(default: REPRO_SERVICE_QUEUE_MAX)")
-    serve.add_argument("--cache-slots", type=int, default=None,
+                            "(default: %(default)s)")
+    serve.add_argument("--cache-slots", type=_count(1), default=4096,
                        help="verdict-cache capacity "
-                            "(default: REPRO_SERVICE_CACHE_SLOTS)")
+                            "(default: %(default)s)")
     serve.add_argument("--fault-profile", default=None,
                        choices=sorted(FAULT_PROFILES),
                        help="serve under a deterministic fault profile")
     serve.add_argument("--warm", action="store_true",
                        help="pre-audit the whole fleet into the cache "
                             "before accepting connections")
-    serve.add_argument("--max-requests", type=int, default=None,
+    serve.add_argument("--max-requests", type=_count(1), default=None,
                        help="exit after N requests (for scripted runs)")
     serve.set_defaults(func=_cmd_serve)
     return parser

@@ -10,8 +10,8 @@ fleet was audited.
 The registry enforces three things the scattered reads never did:
 
 * **unknown knob values are a hard error at read time** — setting
-  ``REPRO_SERVICE_BATCH_MAX=lots`` raises :class:`KnobError` naming the
-  allowed form instead of silently falling back to a default;
+  ``REPRO_SANITIZE=maybe`` raises :class:`KnobError` naming the allowed
+  words instead of silently falling back to a default;
 * **an empty string means unset** for every knob (the shell idiom
   ``REPRO_X= cmd`` clears a knob rather than smuggling ``""`` in as a
   value), consistently across knobs;
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 #: Values a knob read can produce: path knobs yield strings (``None`` when
-#: unset), flag knobs yield booleans, int knobs yield non-negative
-#: integers.
-KnobValue = Union[str, bool, int, None]
+#: unset), flag knobs yield booleans.
+KnobValue = Union[str, bool, None]
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -47,9 +46,8 @@ class KnobError(ValueError):
 class Knob:
     """Declaration of one ``REPRO_*`` environment knob.
 
-    ``kind`` is one of ``"flag"`` (boolean words), ``"path"`` (any
-    non-empty string, ``None`` when unset), or ``"int"`` (a non-negative
-    integer).
+    ``kind`` is ``"flag"`` (boolean words) or ``"path"`` (any non-empty
+    string, ``None`` when unset).
     """
 
     name: str
@@ -73,26 +71,12 @@ class Knob:
                 f"got {raw!r}")
         if self.kind == "path":
             return raw
-        if self.kind == "int":
-            try:
-                value = int(raw, 10)
-            except ValueError:
-                raise KnobError(
-                    f"{self.name} must be a non-negative integer, "
-                    f"got {raw!r}") from None
-            if value < 0:
-                raise KnobError(
-                    f"{self.name} must be a non-negative integer, "
-                    f"got {raw!r}")
-            return value
         raise AssertionError(f"unknown knob kind {self.kind!r}")
 
     def allowed_text(self) -> str:
         """Human-readable allowed-values column for the README table."""
         if self.kind == "flag":
             return "`0` / `1`"
-        if self.kind == "int":
-            return "integer >= 0"
         return "any path"
 
     def default_text(self) -> str:
@@ -126,25 +110,6 @@ SNAPSHOT_DIR = _register(Knob(
         "`~/.cache/repro`.",
 ))
 
-CAMPAIGN_SHARDS = _register(Knob(
-    name="REPRO_CAMPAIGN_SHARDS",
-    kind="int",
-    default=1,
-    doc="Default shard count for campaign audits (`repro campaign` and "
-        "run_campaign when no shard count is given): each shard journals "
-        "to its own checkpoint and the merge step folds the journals "
-        "into one report, byte-identical at any shard count.",
-))
-
-CAMPAIGN_DIR = _register(Knob(
-    name="REPRO_CAMPAIGN_DIR",
-    kind="path",
-    default=None,
-    doc="Directory for campaign shard journals and the merged campaign "
-        "journal; unset uses a per-run temporary directory (resume "
-        "across invocations then needs an explicit --journal-dir).",
-))
-
 SANITIZE = _register(Knob(
     name="REPRO_SANITIZE",
     kind="flag",
@@ -152,43 +117,6 @@ SANITIZE = _register(Knob(
     doc="Enable the runtime sanitizer: cheap invariant assertions at "
         "module boundaries (packed-region padding, distance-bank "
         "finiteness, path-engine cross-check, checkpoint round-trip).",
-))
-
-
-SERVICE_CACHE_SLOTS = _register(Knob(
-    name="REPRO_SERVICE_CACHE_SLOTS",
-    kind="int",
-    default=4096,
-    doc="Verdict-cache capacity for the always-on verdict service "
-        "(`repro serve` / VerdictService): entries beyond this are "
-        "evicted least-recently-used; 0 means the built-in default.",
-))
-
-SERVICE_BATCH_MAX = _register(Knob(
-    name="REPRO_SERVICE_BATCH_MAX",
-    kind="int",
-    default=32,
-    doc="Largest micro-batch the verdict service coalesces uncached "
-        "queries into before one vectorised predict_fleet sweep; "
-        "0 means the built-in default.",
-))
-
-SERVICE_QUEUE_MAX = _register(Knob(
-    name="REPRO_SERVICE_QUEUE_MAX",
-    kind="int",
-    default=256,
-    doc="Bound on the verdict service's pending-request queue; arrivals "
-        "past it are shed as degraded verdicts instead of queueing "
-        "without bound; 0 means the built-in default.",
-))
-
-SERVICE_WORKERS = _register(Knob(
-    name="REPRO_SERVICE_WORKERS",
-    kind="int",
-    default=1,
-    doc="Fork-pool workers the verdict service evaluates uncached "
-        "micro-batches with (1 = in-process, no pool); verdicts are "
-        "byte-identical at any worker count.",
 ))
 
 

@@ -29,7 +29,7 @@ from ..geo.region import Region
 from .base import Prediction
 from .cbg import CBG
 from .fleetpanel import build_fleet_panel
-from .multilateration import DiskConstraint, largest_consistent_subset
+from .multilateration import largest_consistent_subset
 from .observations import RttObservation
 
 
@@ -38,23 +38,6 @@ class CBGPlusPlus(CBG):
 
     name = "cbg++"
     apply_slowline = True
-
-    def baseline_disks(self, observations: Sequence[RttObservation]
-                       ) -> List[DiskConstraint]:
-        """Per-landmark disks at the 200 km/ms physical baseline."""
-        floor = self.min_disk_radius_km()
-        constraints = []
-        for obs in observations:
-            calibration = self.calibrations.cbg(
-                obs.landmark_name, apply_slowline=True)
-            constraints.append(DiskConstraint(
-                landmark_name=obs.landmark_name,
-                lat=obs.lat,
-                lon=obs.lon,
-                radius_km=max(calibration.baseline_distance_km(obs.one_way_ms),
-                              floor),
-            ))
-        return constraints
 
     def predict(self, observations: Sequence[RttObservation]) -> Prediction:
         observations = self._prepare(observations)
@@ -72,7 +55,7 @@ class CBGPlusPlus(CBG):
         base_radii = self.baseline_radii_km(delays).astype(np.float32)
         joint_radii = np.minimum(base_radii, best_radii)
         families = grid.bank.disk_intersections(
-            lats, lons, np.stack([base_radii, joint_radii]), packed=True)
+            lats, lons, np.stack([base_radii, joint_radii]))
         base_and = Region.from_words(grid, families[0])
         joint_and: Optional[Region] = Region.from_words(grid, families[1])
 
@@ -178,7 +161,7 @@ class CBGPlusPlus(CBG):
         # disks, or the rare coastal region that clipping empties) re-run
         # the scalar pipeline, which *is* the definition of the result.
         family = grid.bank.disk_intersections_fleet(
-            panel.rows, joint_radii[None], packed=True)[0]
+            panel.rows, joint_radii[None])[0]
         # The terrain clip is one fleet-wide AND against the plausibility
         # bitset — the same words ``_clip`` ANDs per region — so the
         # per-server loop below only wraps the rows that survived.

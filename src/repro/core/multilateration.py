@@ -73,8 +73,7 @@ def intersect_disk_fields(grid: Grid, lats: Sequence[float],
     radii = np.asarray(radii, dtype=np.float32)
     if (radii < 0).any():
         raise ValueError("negative disk radius")
-    words = grid.bank.disk_intersections(
-        lats, lons, radii[None, :], packed=True)[0]
+    words = grid.bank.disk_intersections(lats, lons, radii[None, :])[0]
     return Region.from_words(grid, words)
 
 
@@ -102,7 +101,7 @@ def intersect_rings(grid: Grid, rings: Sequence[RingConstraint]) -> Region:
     inner = [r.inner_km for r in rings]
     outer = [r.outer_km for r in rings]
     return Region.from_words(
-        grid, bank.ring_intersection(lats, lons, inner, outer, packed=True))
+        grid, bank.ring_intersection(lats, lons, inner, outer))
 
 
 def mode_region_from_votes(grid: Grid, votes: np.ndarray,
@@ -169,20 +168,18 @@ def unpack_mask_words(words: np.ndarray, n_bits: int) -> np.ndarray:
     return unpack_bits(words, n_bits)
 
 
-def _dfs_improve(rows, order: List[int], best_count: int, n: int,
+def _dfs_improve(rows: np.ndarray, order: List[int], best_count: int, n: int,
                  budget: int) -> Optional[List[int]]:
     """Branch-and-bound for a consistent subset strictly larger than
     ``best_count``, over pre-restricted witness columns.
 
-    ``rows`` may be boolean rows or packed uint64 rows — only ``&`` and
-    ``.any()`` are used, so both engines traverse identically.  Returns
-    the best improving subset found, or ``None`` when the incumbent is
-    already maximum (or the node budget ran out before beating it).
+    ``rows`` are packed uint64 rows.  Returns the best improving subset
+    found, or ``None`` when the incumbent is already maximum (or the
+    node budget ran out before beating it).
     """
     best_indices: Optional[List[int]] = None
     remaining_budget = [budget]
-    full = rows[0] | ~rows[0] if rows.dtype != np.bool_ else \
-        np.ones(rows.shape[1], dtype=bool)
+    full = rows[0] | ~rows[0]
 
     def descend(position: int, current_mask, chosen: List[int]) -> None:
         nonlocal best_count, best_indices
@@ -214,8 +211,7 @@ SUBSET_SEARCH_BUDGET = 200_000
 
 
 def largest_consistent_subset(masks: Sequence[np.ndarray],
-                              base_mask: Optional[np.ndarray] = None,
-                              engine: str = "bitset"
+                              base_mask: Optional[np.ndarray] = None
                               ) -> Tuple[List[int], np.ndarray]:
     """The largest subset of masks whose AND (with ``base_mask``) is non-empty.
 
@@ -237,11 +233,8 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
        preserves the maximum (every improving family keeps its witness)
        while shrinking each AND in the search by orders of magnitude.
 
-    ``engine`` selects the inner-loop representation: ``"bitset"`` (the
-    default) packs masks into uint64 words, shrinking every AND/any by
-    ~8x in memory traffic; ``"bool"`` keeps plain boolean arrays.  Both
-    engines make identical include/exclude decisions and return identical
-    subsets and masks.
+    Every AND/any in the search runs on masks packed into uint64 words,
+    ~8x less memory traffic than boolean arrays.
     """
     matrix = _as_mask_matrix(masks)
     n, n_bits = matrix.shape
@@ -253,28 +246,15 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
         base_bool = np.asarray(base_mask)
         if base_bool.dtype != np.bool_:
             base_bool = base_bool.astype(bool)
-    if engine == "bitset":
-        rows: np.ndarray = pack_mask_matrix(matrix)
-        base = pack_mask_matrix(base_bool[None, :])[0]
-        sizes = np.bitwise_count(rows).sum(axis=1)
-
-        def finish(mask_words: np.ndarray) -> np.ndarray:
-            return unpack_mask_words(mask_words, n_bits)
-    elif engine == "bool":
-        rows = matrix
-        base = base_bool.copy()
-        sizes = matrix.sum(axis=1)
-
-        def finish(mask: np.ndarray) -> np.ndarray:
-            return mask
-    else:
-        raise ValueError(f"unknown subset-search engine {engine!r}")
+    rows = pack_mask_matrix(matrix)
+    base = pack_mask_matrix(base_bool[None, :])[0]
+    sizes = np.bitwise_count(rows).sum(axis=1)
 
     everything = base.copy()
     for row in rows:
         everything &= row
     if everything.any():
-        return list(range(n)), finish(everything)
+        return list(range(n)), unpack_mask_words(everything, n_bits)
 
     # Order by size descending: large (permissive) disks first keeps the
     # running intersection non-empty longest, and puts the conflicting
@@ -298,19 +278,16 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
         votes += row_bool
     witness_cols = np.flatnonzero((votes > best_count) & base_bool)
     if witness_cols.size == 0:
-        return sorted(greedy_indices), finish(greedy_mask)
+        return sorted(greedy_indices), unpack_mask_words(greedy_mask, n_bits)
 
-    restricted = matrix[:, witness_cols]
-    sub_rows = pack_mask_matrix(restricted) if engine == "bitset" \
-        else np.ascontiguousarray(restricted)
-    improved = _dfs_improve(sub_rows, order, best_count, n,
-                            SUBSET_SEARCH_BUDGET)
+    improved = _dfs_improve(pack_mask_matrix(matrix[:, witness_cols]),
+                            order, best_count, n, SUBSET_SEARCH_BUDGET)
     if improved is None:
-        return sorted(greedy_indices), finish(greedy_mask)
+        return sorted(greedy_indices), unpack_mask_words(greedy_mask, n_bits)
     final = base.copy()
     for index in improved:
         final &= rows[index]
-    return sorted(improved), finish(final)
+    return sorted(improved), unpack_mask_words(final, n_bits)
 
 
 #: Initial candidate count for the top-k credible-mass selection; grows

@@ -20,7 +20,7 @@ the two policy objects the measurement drivers share:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class LandmarkHealthTracker:
     def quarantined(self, name: str) -> bool:
         health = self._health.get(name)
         return health is not None and health.quarantined
-
-    def health_of(self, name: str) -> Optional[LandmarkHealth]:
-        return self._health.get(name)
 
     @property
     def quarantined_names(self) -> list:

@@ -24,12 +24,10 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 import numpy as np
 
 from ..core.assessment import Verdict, assess_claim
-from ..core.base import GeolocationAlgorithm
 from ..core.cbgpp import CBGPlusPlus
 from ..core.disambiguation import AuditRecord, refine_assessments
 from ..core.observations import RttObservation
 from ..core.proxy_adapter import EtaEstimate, ProxyMeasurer, estimate_eta
-from ..core.resilience import RetryPolicy
 from ..core.twophase import (
     MIN_MULTILATERATION_OBSERVATIONS,
     TwoPhaseDriver,
@@ -211,7 +209,6 @@ class MeasureContext(NamedTuple):
     seed: int
     #: Installed around every chunk; None measures fault-free.
     injector: Optional[FaultInjector]
-    retry_policy: Optional[RetryPolicy] = None
     #: Landmark names dropped at probe time, after panel selection.
     quarantined: FrozenSet[str] = frozenset()
 
@@ -234,8 +231,7 @@ def _collect(context: MeasureContext, server: ProxyServer
     network = context.scenario.network
     rng = np.random.default_rng((context.seed, server.host.host_id))
     measurer = ProxyMeasurer(network, context.scenario.client, server,
-                             eta=context.eta, seed=server.host.host_id,
-                             retry_policy=context.retry_policy)
+                             eta=context.eta, seed=server.host.host_id)
     requested: Set[str] = set()
 
     def measure(landmarks: Sequence[Landmark]) -> List[RttObservation]:
@@ -411,9 +407,13 @@ def fault_environment(scenario: Scenario, seed: int,
                                  Optional[FaultInjector]]:
     """An audit's resolved fault profile and its injector.
 
-    The explicit ``fault_profile`` wins, else the scenario's own; the
-    injector has every landmark's outage scheduled.  Both are None for a
-    fault-free run.
+    The one place the rule "the explicit ``fault_profile`` wins, else the
+    scenario's own" lives: every public entry point (audit, campaign
+    shard and merge, verdict service) resolves its argument here once
+    and hands the results on, never back as a ``fault_profile``
+    argument.  The injector has every landmark's outage scheduled.  Both
+    are None for a fault-free run — an explicit null profile (``"none"``)
+    included, whatever the scenario's own.
     """
     profile = resolve_fault_profile(
         fault_profile if fault_profile is not None
@@ -435,10 +435,16 @@ def fault_environment(scenario: Scenario, seed: int,
 _ETA_CACHE: "LruCache[tuple, EtaEstimate]" = LruCache(maxsize=16)
 
 
-def _campaign_eta(scenario: Scenario, seed: int,
-                  profile: Optional[FaultProfile],
-                  injector: Optional[FaultInjector]) -> EtaEstimate:
-    """The memoised whole-fleet η fit for one (scenario, seed, profile)."""
+def campaign_eta(scenario: Scenario, seed: int,
+                 profile: Optional[FaultProfile],
+                 injector: Optional[FaultInjector]) -> EtaEstimate:
+    """The memoised whole-fleet η fit for one (scenario, seed, profile).
+
+    ``profile`` and ``injector`` are a :func:`fault_environment`.  The
+    fit runs under that injector with the seed-derived rng, so a
+    campaign merge or a verdict service in a fresh process (no audit, no
+    warm ``_ETA_CACHE``) gets bit-identically the η the audit used.
+    """
     key = (_scenario_token(scenario), seed, profile)
     eta = _ETA_CACHE.get(key)
     if eta is None:
@@ -450,21 +456,7 @@ def _campaign_eta(scenario: Scenario, seed: int,
     return eta
 
 
-def campaign_eta(scenario: Scenario, seed: int = 0,
-                 fault_profile: Optional[object] = None) -> EtaEstimate:
-    """The η estimate a ``run_audit`` with these parameters would use.
-
-    Replays run_audit's exact fitting environment — profile resolution,
-    fault installation, outage schedule, and the seed-derived rng — so a
-    campaign merge running in a fresh process (no audit, no warm
-    ``_ETA_CACHE``) reports bit-identically to the shards that measured.
-    """
-    profile, injector = fault_environment(scenario, seed, fault_profile)
-    return _campaign_eta(scenario, seed, profile, injector)
-
-
 def run_audit(scenario: Scenario,
-              algorithm: Optional[GeolocationAlgorithm] = None,
               servers: Optional[Sequence[ProxyServer]] = None,
               max_servers: Optional[int] = None,
               seed: int = 0,
@@ -475,15 +467,13 @@ def run_audit(scenario: Scenario,
               resume: bool = False,
               sink: Optional[AuditSink] = None,
               finalize_checkpoint: bool = False) -> AuditResult:
-    """Audit a proxy fleet end to end.
+    """Audit a proxy fleet end to end with CBG++, the paper's choice.
 
     Parameters
     ----------
-    algorithm:
-        Defaults to CBG++, the paper's choice for the audit.
     servers:
-        Defaults to the scenario's entire fleet; ``max_servers`` truncates
-        (deterministically, in fleet order) for quick runs.
+        Defaults to the scenario's entire fleet; ``max_servers`` (>= 0)
+        truncates (deterministically, in fleet order) for quick runs.
     workers:
         Number of audit processes.  Per-server measurement noise is keyed
         by ``(seed, host_id)``, so any worker count — including 1 —
@@ -527,8 +517,9 @@ def run_audit(scenario: Scenario,
             "the sink (see experiments.campaign.CampaignAggregator)")
     if finalize_checkpoint and checkpoint_path is None:
         raise ValueError("finalize_checkpoint requires checkpoint_path")
-    if algorithm is None:
-        algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
+    if max_servers is not None and max_servers < 0:
+        raise ValueError(f"max_servers must be >= 0, got {max_servers}")
+    algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
     if servers is None:
         servers = scenario.all_servers()
     if max_servers is not None:
@@ -540,14 +531,9 @@ def run_audit(scenario: Scenario,
     checkpoint: Optional[AuditCheckpoint] = None
     completed: Dict[int, ServerPayload] = {}
     if checkpoint_path is not None:
-        checkpoint = AuditCheckpoint(
-            checkpoint_path,
-            audit_seed=seed,
-            profile=profile.name if profile is not None else None,
-            n_servers=len(servers),
-            n_cells=grid.n_cells,
-            fleet_digest=AuditCheckpoint.fleet_digest(
-                server.host.host_id for server in servers))
+        checkpoint = AuditCheckpoint.for_fleet(
+            checkpoint_path, servers, seed=seed, profile=profile,
+            n_cells=grid.n_cells)
         if resume:
             completed = checkpoint.load()
         checkpoint.start(fresh=not resume)
@@ -598,7 +584,7 @@ def run_audit(scenario: Scenario,
     # (scenario, seed, profile) yields the same η no matter which servers
     # are audited — truncated quick runs stay bit-identical to the
     # corresponding slice of a full audit.
-    eta = _campaign_eta(scenario, seed, profile, injector)
+    eta = campaign_eta(scenario, seed, profile, injector)
     context = MeasureContext(
         scenario=scenario,
         driver=TwoPhaseDriver(TwoPhaseSelector(scenario.atlas, seed=seed),

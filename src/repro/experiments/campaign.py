@@ -35,17 +35,15 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .. import config
 from ..core.disambiguation import AuditRecord, Disambiguator
 from ..core.proxy_adapter import EtaEstimate
 from ..geo.countries import CONTINENTS
-from ..netsim.faults import FaultProfile, resolve_fault_profile
 from ..netsim.proxies import ProxyServer
 from ..stats.confusion import CooccurrenceMatrix
-from .audit import (RecordTally, campaign_eta, record_from_payload,
-                    run_audit)
+from .audit import (RecordTally, campaign_eta, fault_environment,
+                    record_from_payload, run_audit)
 from .checkpoint import AuditCheckpoint, shard_journal_path
 from .scenario import Scenario
 
@@ -100,20 +98,28 @@ class DeploymentPlan:
 
     Expansion walks the scenario fleet in its canonical (provider) order
     and admits each server through the first template that matches and
-    still has per-country budget; ``max_servers`` truncates the overall
-    selection.  The same plan over the same scenario always yields the
-    same server list — which is what lets independently-launched shard
-    processes agree on the shard boundaries without coordination.
+    still has per-country budget; ``max_servers`` (>= 0) truncates the
+    overall selection.  The same plan over the same scenario always
+    yields the same server list — which is what lets independently
+    launched shard processes agree on the shard boundaries without
+    coordination.
     """
 
     name: str = "full-fleet"
     templates: Tuple[FleetTemplate, ...] = (FleetTemplate(),)
     max_servers: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.max_servers is not None and self.max_servers < 0:
+            raise ValueError(
+                f"max_servers must be >= 0, got {self.max_servers}")
+
     def expand(self, scenario: Scenario) -> List[ProxyServer]:
         chosen: List[ProxyServer] = []
         taken: Dict[Tuple[int, str, str], int] = {}
         for server in scenario.all_servers():
+            if self.max_servers is not None and len(chosen) >= self.max_servers:
+                break
             for at, template in enumerate(self.templates):
                 if not template.admits(server):
                     continue
@@ -124,8 +130,6 @@ class DeploymentPlan:
                     continue
                 taken[key] = count + 1
                 chosen.append(server)
-                break
-            if self.max_servers is not None and len(chosen) >= self.max_servers:
                 break
         return chosen
 
@@ -363,27 +367,6 @@ class CampaignRun:
 
 # -- orchestration ------------------------------------------------------------
 
-def _resolve_profile(scenario: Scenario,
-                     fault_profile: Optional[object]) -> Optional[FaultProfile]:
-    return resolve_fault_profile(
-        fault_profile if fault_profile is not None
-        else scenario.fault_profile)
-
-
-def _shard_checkpoint(scenario: Scenario, servers: Sequence[ProxyServer],
-                      path: str, seed: int,
-                      profile_name: Optional[str]) -> AuditCheckpoint:
-    """The exact checkpoint run_audit would build for this server slice."""
-    return AuditCheckpoint(
-        path,
-        audit_seed=seed,
-        profile=profile_name,
-        n_servers=len(servers),
-        n_cells=scenario.worldmap.grid.n_cells,
-        fleet_digest=AuditCheckpoint.fleet_digest(
-            server.host.host_id for server in servers))
-
-
 def run_campaign_shard(scenario: Scenario,
                        plan: Optional[DeploymentPlan] = None, *,
                        shards: int, shard_index: int, journal_dir: str,
@@ -405,11 +388,11 @@ def run_campaign_shard(scenario: Scenario,
     lo, hi = bounds[shard_index]
     shard_servers = servers[lo:hi]
     path = shard_journal_path(journal_dir, shard_index, shards)
-    profile = _resolve_profile(scenario, fault_profile)
-    profile_name = profile.name if profile is not None else None
+    profile, _ = fault_environment(scenario, seed, fault_profile)
     tally = ShardTally()
-    checkpoint = _shard_checkpoint(scenario, shard_servers, path, seed,
-                                   profile_name)
+    checkpoint = AuditCheckpoint.for_fleet(
+        path, shard_servers, seed=seed, profile=profile,
+        n_cells=scenario.worldmap.grid.n_cells)
     if resume and checkpoint.is_final:
         for payload in checkpoint.iter_payloads():
             assert payload.assessment is not None
@@ -418,7 +401,7 @@ def run_campaign_shard(scenario: Scenario,
         skipped = True
     else:
         run_audit(scenario, servers=shard_servers, seed=seed,
-                  workers=workers, fault_profile=profile,
+                  workers=workers, fault_profile=fault_profile,
                   disambiguate=False, checkpoint_path=path, resume=resume,
                   sink=tally, finalize_checkpoint=True)
         skipped = False
@@ -436,66 +419,56 @@ def run_campaign_shard(scenario: Scenario,
 def merge_campaign(scenario: Scenario,
                    plan: Optional[DeploymentPlan] = None, *,
                    shards: int, journal_dir: str, seed: int = 0,
-                   fault_profile: Optional[object] = None,
-                   merged_path: Optional[str] = None) -> CampaignReport:
+                   fault_profile: Optional[object] = None) -> CampaignReport:
     """Fold finalized shard journals into the campaign report.
 
-    The merged journal (``campaign.jsonl``) is byte-identical to a
-    finalized single-shot journal of the whole fleet; the report comes
-    from streaming it through :class:`CampaignAggregator` one record at
-    a time, so merge memory is O(uncertain records), independent of
-    fleet size.
+    The merged journal (``campaign.jsonl`` in ``journal_dir``) is
+    byte-identical to a finalized single-shot journal of the whole
+    fleet; the report comes from streaming it through
+    :class:`CampaignAggregator` one record at a time, so merge memory is
+    O(uncertain records), independent of fleet size.
     """
     plan = plan or DeploymentPlan()
     servers = plan.expand(scenario)
-    profile = _resolve_profile(scenario, fault_profile)
-    profile_name = profile.name if profile is not None else None
-    bounds = shard_bounds(len(servers), shards)
-    shard_checkpoints = [
-        _shard_checkpoint(scenario, servers[lo:hi],
-                          shard_journal_path(journal_dir, index, shards),
-                          seed, profile_name)
-        for index, (lo, hi) in enumerate(bounds)]
-    merged_path = merged_path or os.path.join(journal_dir, MERGED_JOURNAL)
-    merged = _shard_checkpoint(scenario, servers, merged_path, seed,
-                               profile_name)
-    merged.merge_from(shard_checkpoints)
+    profile, injector = fault_environment(scenario, seed, fault_profile)
     grid = scenario.worldmap.grid
+    merged = AuditCheckpoint.for_fleet(
+        os.path.join(journal_dir, MERGED_JOURNAL), servers, seed=seed,
+        profile=profile, n_cells=grid.n_cells)
+    merged.merge_from([
+        AuditCheckpoint.for_fleet(
+            shard_journal_path(journal_dir, index, shards), servers[lo:hi],
+            seed=seed, profile=profile, n_cells=grid.n_cells)
+        for index, (lo, hi) in enumerate(shard_bounds(len(servers), shards))])
     aggregator = CampaignAggregator(scenario)
     for payload in merged.iter_payloads():
         aggregator.accept(record_from_payload(servers[payload.index], grid,
                                               payload))
-    eta = campaign_eta(scenario, seed, profile)
-    return aggregator.report(eta=eta, fault_profile=profile_name,
-                             plan_name=plan.name)
+    return aggregator.report(
+        eta=campaign_eta(scenario, seed, profile, injector),
+        fault_profile=profile.name if profile is not None else None,
+        plan_name=plan.name)
 
 
 def run_campaign(scenario: Scenario,
                  plan: Optional[DeploymentPlan] = None, *,
-                 shards: Optional[int] = None, workers: int = 1,
+                 shards: int = 1, workers: int = 1,
                  seed: int = 0, fault_profile: Optional[object] = None,
                  journal_dir: Optional[str] = None,
                  resume: bool = False) -> CampaignRun:
     """Run every shard, then merge: the one-call campaign entry point.
 
-    ``shards`` defaults to the ``REPRO_CAMPAIGN_SHARDS`` knob and
-    ``journal_dir`` to ``REPRO_CAMPAIGN_DIR``; with neither set the
-    journals live in a temporary directory that is removed after the
-    merge (the report survives, the journals do not).
+    Without a ``journal_dir`` the journals live in a temporary directory
+    that is removed after the merge (the report survives, the journals
+    do not); resuming across calls needs an explicit ``journal_dir``.
     """
     plan = plan or DeploymentPlan()
-    if shards is None:
-        shards = int(config.env_value("REPRO_CAMPAIGN_SHARDS"))
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
     cleanup: Optional[tempfile.TemporaryDirectory] = None
     if journal_dir is None:
-        knob_dir = config.env_value("REPRO_CAMPAIGN_DIR")
-        if knob_dir:
-            journal_dir = str(knob_dir)
-        else:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            journal_dir = cleanup.name
+        cleanup = tempfile.TemporaryDirectory(prefix="repro-campaign-")
+        journal_dir = cleanup.name
     try:
         summaries = [
             run_campaign_shard(scenario, plan, shards=shards,
@@ -528,9 +501,8 @@ def single_shot_report(scenario: Scenario,
     """
     plan = plan or DeploymentPlan()
     servers = plan.expand(scenario)
-    profile = _resolve_profile(scenario, fault_profile)
     result = run_audit(scenario, servers=servers, seed=seed, workers=workers,
-                       fault_profile=profile, disambiguate=False)
+                       fault_profile=fault_profile, disambiguate=False)
     aggregator = CampaignAggregator(scenario)
     for record in result.records:
         aggregator.accept(record)

@@ -38,11 +38,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import sanitize
 from ..core.assessment import ClaimAssessment, ContinentVerdict, Verdict
 from ..core.observations import RttObservation
+
+if TYPE_CHECKING:
+    from ..netsim.faults import FaultProfile
+    from ..netsim.proxies import ProxyServer
 
 FORMAT = "repro-audit-checkpoint"
 VERSION = 1
@@ -165,21 +169,13 @@ def _fsync_dir(directory: str) -> None:
 class AuditCheckpoint:
     """Append-only JSONL journal of completed per-server audit payloads.
 
-    ``fsync_every`` batches the per-append fsync into group commits: the
-    journal is flushed every append but synced to disk once per that many
-    records (and always at :meth:`finalize`).  A kill loses at most the
-    unsynced tail, which resume simply re-audits — the same contract as a
-    torn final line.  The default of 1 keeps every record durable.
+    Every append is fsynced, so a kill loses at most the record being
+    written — a torn final line, which resume simply re-audits.
     """
 
     def __init__(self, path, *, audit_seed: int, profile: Optional[str],
-                 n_servers: int, n_cells: int, fleet_digest: str,
-                 fsync_every: int = 1):
+                 n_servers: int, n_cells: int, fleet_digest: str):
         self.path = os.fspath(path)
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
-        self._fsync_every = fsync_every
-        self._unsynced = 0
         self._header = {
             "format": FORMAT,
             "version": VERSION,
@@ -189,6 +185,22 @@ class AuditCheckpoint:
             "n_cells": n_cells,
             "fleet": fleet_digest,
         }
+
+    @classmethod
+    def for_fleet(cls, path, servers: Sequence["ProxyServer"], *, seed: int,
+                  profile: Optional["FaultProfile"],
+                  n_cells: int) -> "AuditCheckpoint":
+        """The journal of one audit of ``servers`` (in audit order).
+
+        Audits, campaign shards and the campaign merge all build their
+        headers here, from the resolved fault profile (None is
+        fault-free), so the journals of one campaign always agree.
+        """
+        return cls(path, audit_seed=seed,
+                   profile=profile.name if profile is not None else None,
+                   n_servers=len(servers), n_cells=n_cells,
+                   fleet_digest=cls.fleet_digest(
+                       server.host.host_id for server in servers))
 
     @staticmethod
     def fleet_digest(host_ids) -> str:
@@ -320,10 +332,7 @@ class AuditCheckpoint:
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
-            self._unsynced += 1
-            if self._unsynced >= self._fsync_every:
-                os.fsync(handle.fileno())
-                self._unsynced = 0
+            os.fsync(handle.fileno())
 
     # -- finalizing and merging ----------------------------------------------
 
@@ -386,7 +395,6 @@ class AuditCheckpoint:
                 os.fsync(out.fileno())
         os.replace(tmp, self.path)
         _fsync_dir(os.path.dirname(self.path))
-        self._unsynced = 0
 
     def merge_from(self, shards: Sequence["AuditCheckpoint"]) -> int:
         """Fold finalized shard journals into this campaign journal.

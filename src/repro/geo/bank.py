@@ -291,40 +291,21 @@ class DistanceBank:
 
     # -- batched mask kernels ------------------------------------------------
 
-    def disk_masks(self, lats: Sequence[float], lons: Sequence[float],
-                   radii: Sequence[float],
-                   columns: Optional[np.ndarray] = None) -> np.ndarray:
-        """Boolean ``(k, n_cells)`` matrix of per-landmark disk masks.
-
-        ``columns`` restricts the evaluation to a subset of grid cells
-        (returning ``(k, len(columns))``), which is exact for any purely
-        intersective downstream use.
-        """
-        radii = np.asarray(radii, dtype=np.float32)
-        if (radii < 0).any():
-            raise ValueError("negative disk radius")
-        block = self.field_block(lats, lons)
-        if columns is not None:
-            block = block[:, columns]
-        return block <= radii[:, None]
-
     def disk_intersections(self, lats: Sequence[float], lons: Sequence[float],
-                           radii_families: Sequence[Sequence[float]],
-                           packed: bool = False) -> np.ndarray:
+                           radii_families: Sequence[Sequence[float]]
+                           ) -> np.ndarray:
         """AND of per-landmark disks, for one or more radius families.
 
         ``radii_families`` is an ``(m, k)`` matrix: each row gives one
-        radius per landmark, and the result row ``f`` is the boolean mask
-        ``AND_i (distance_i <= radii_families[f, i])`` over all cells.
+        radius per landmark, and result row ``f`` packs the mask
+        ``AND_i (distance_i <= radii_families[f, i])`` over all cells
+        into uint64 bitset words (``(m, n_words)``, padding bits zero),
+        ready for zero-copy adoption by :meth:`Region.from_words`.
         The families share one pass over the coarse block aggregates —
         whole blocks strictly inside (or outside) every disk are settled
         without touching cell-level data, and only cells of blocks crossed
         by some disk boundary are compared exactly.  Results are
         bit-identical to the naive broadcasted comparison.
-
-        With ``packed=True`` the result rows are uint64 bitset words
-        (``(m, n_words)``, padding bits zero) ready for zero-copy
-        adoption by :meth:`Region.from_words`.
         """
         radii = np.asarray(radii_families, dtype=np.float32)
         if radii.ndim == 1:
@@ -345,7 +326,7 @@ class DistanceBank:
                 for i in range(1, n_disks):
                     acc &= block[i] <= radii[f, i]
                 out[f] = acc
-            return pack_bits(out) if packed else out
+            return pack_bits(out)
         side = self._block_side
         block_max = self._block_max[rows]          # (k, n_blocks) — small
         block_min = self._block_min[rows]
@@ -369,7 +350,7 @@ class DistanceBank:
             for i in uncertain:
                 verdict &= self._fields[rows[i]][cells] <= radii[f, i]
             out[f][cells] = verdict
-        return pack_bits(out) if packed else out
+        return pack_bits(out)
 
     # -- fleet-level kernels -------------------------------------------------
     #
@@ -405,18 +386,15 @@ class DistanceBank:
         return rows
 
     def disk_intersections_fleet(self, rows: np.ndarray,
-                                 radii_families: np.ndarray,
-                                 packed: bool = False) -> np.ndarray:
+                                 radii_families: np.ndarray) -> np.ndarray:
         """AND of per-landmark disks for every server of a fleet at once.
 
         ``rows`` is ``(n_servers, k)`` bank row indices; ``radii_families``
         is ``(m, n_servers, k)`` float32 (``(n_servers, k)`` is promoted to
-        one family).  Result ``[f, s]`` is the AND over slot ``i`` of
-        ``distance(rows[s, i]) <= radii_families[f, s, i]`` — exactly what
-        :meth:`disk_intersections` returns for server ``s`` alone.  With
-        ``packed=True`` the result is ``(m, n_servers, n_words)`` uint64
-        bitset words (the only layout that scales to 1k+ fleets; the
-        boolean form exists for the cross-engine identity tests).
+        one family).  Result ``[f, s]`` packs the AND over slot ``i`` of
+        ``distance(rows[s, i]) <= radii_families[f, s, i]`` into uint64
+        words (``(m, n_servers, n_words)``) — exactly what
+        :meth:`disk_intersections` returns for server ``s`` alone.
         """
         rows = self._validate_fleet_rows(rows)
         radii = np.asarray(radii_families, dtype=np.float32)
@@ -429,11 +407,7 @@ class DistanceBank:
         n_servers, k = rows.shape
         m = radii.shape[0]
         n_cells = self.grid.n_cells
-        if packed:
-            out = np.zeros((m, n_servers, n_words_for(n_cells)),
-                           dtype=np.uint64)
-        else:
-            out = np.zeros((m, n_servers, n_cells), dtype=bool)
+        out = np.zeros((m, n_servers, n_words_for(n_cells)), dtype=np.uint64)
         if n_servers == 0 or k == 0:
             return out
         side = self._block_side
@@ -451,8 +425,7 @@ class DistanceBank:
                     for i in range(k):
                         scratch &= (fields[chunk_rows[:, i]]
                                     <= radii[f, start:stop, i, None])
-                    out[f, start:stop] = pack_bits(scratch) if packed \
-                        else scratch
+                    out[f, start:stop] = pack_bits(scratch)
                 continue
             n_blat = self.grid.n_lat // side
             n_blon = self.grid.n_lon // side
@@ -499,7 +472,7 @@ class DistanceBank:
                         ([0], np.cumsum(counts[:-1])))
                     verdict = np.logical_and.reduceat(ok, starts, axis=0)
                     scratch[srv[:, None], cells] = verdict
-                out[f, start:stop] = pack_bits(scratch) if packed else scratch
+                out[f, start:stop] = pack_bits(scratch)
         return out
 
     def ring_votes_fleet(self, rows: np.ndarray, inner: np.ndarray,
@@ -535,29 +508,15 @@ class DistanceBank:
                 votes[start:stop] += covered
         return votes
 
-    def ring_masks(self, lats: Sequence[float], lons: Sequence[float],
-                   inner: Sequence[float], outer: Sequence[float],
-                   columns: Optional[np.ndarray] = None) -> np.ndarray:
-        """Boolean ``(k, n_cells)`` matrix of per-landmark annulus masks."""
-        inner = np.asarray(inner, dtype=np.float32)
-        outer = np.asarray(outer, dtype=np.float32)
-        if (inner < 0).any() or (outer < inner).any():
-            raise ValueError("bad ring radii")
-        block = self.field_block(lats, lons)
-        if columns is not None:
-            block = block[:, columns]
-        return (block >= inner[:, None]) & (block <= outer[:, None])
-
     def ring_intersection(self, lats: Sequence[float], lons: Sequence[float],
-                          inner: Sequence[float], outer: Sequence[float],
-                          packed: bool = False) -> np.ndarray:
-        """Fused AND of every per-landmark annulus.
+                          inner: Sequence[float], outer: Sequence[float]
+                          ) -> np.ndarray:
+        """Fused AND of every per-landmark annulus, as uint64 bitset words.
 
-        Equivalent to ``ring_masks(...).all(axis=0)`` but AND-reduced ring
-        by ring with two reused scratch rows, so the ``(k, n_cells)``
-        boolean matrix is never materialised.  AND is associative, so the
-        result is bit-identical to the matrix reduction.  ``packed=True``
-        returns uint64 bitset words instead of a boolean row.
+        AND-reduced ring by ring with two reused scratch rows, so the
+        ``(k, n_cells)`` boolean matrix of annulus masks is never
+        materialised.  AND is associative, so the result is bit-identical
+        to reducing that matrix.
         """
         inner = np.asarray(inner, dtype=np.float32)
         outer = np.asarray(outer, dtype=np.float32)
@@ -572,17 +531,17 @@ class DistanceBank:
             np.less_equal(block[i], outer[i], out=upper)
             lower &= upper
             acc &= lower
-        return pack_bits(acc) if packed else acc
+        return pack_bits(acc)
 
     def ring_votes(self, lats: Sequence[float], lons: Sequence[float],
                    inner: Sequence[float], outer: Sequence[float]
                    ) -> np.ndarray:
         """Per-cell count of covering annuli (Octant's unit-weight votes).
 
-        Equivalent to ``ring_masks(...).sum(axis=0, dtype=int32)`` —
-        integer addition is exact, so accumulating one ring at a time
-        into a single int32 row changes nothing but the peak footprint
-        (one boolean scratch row instead of the ``(k, n_cells)`` matrix).
+        Integer addition is exact, so accumulating one ring at a time
+        into a single int32 row equals summing the ``(k, n_cells)``
+        matrix of annulus masks, at the footprint of one boolean scratch
+        row.
         """
         inner = np.asarray(inner, dtype=np.float32)
         outer = np.asarray(outer, dtype=np.float32)
@@ -601,8 +560,7 @@ class DistanceBank:
 
     def gaussian_log_likelihood(self, lats: Sequence[float],
                                 lons: Sequence[float],
-                                mu: Sequence[float], sigma: Sequence[float],
-                                columns: Optional[np.ndarray] = None
+                                mu: Sequence[float], sigma: Sequence[float]
                                 ) -> np.ndarray:
         """Summed Gaussian ring log-likelihood over the grid.
 
@@ -615,8 +573,6 @@ class DistanceBank:
         if (sigma <= 0).any():
             raise ValueError("sigma must be positive")
         block = self.field_block(lats, lons)
-        if columns is not None:
-            block = block[:, columns]
         log_likelihood = np.zeros(block.shape[1], dtype=np.float64)
         for i in range(block.shape[0]):
             distances = block[i].astype(np.float64)

@@ -11,13 +11,14 @@ to a :class:`~repro.geo.grid.Grid` and precomputes, for every grid cell:
 Cells claimed by multiple countries' footprint boxes are awarded to the
 country with the nearest anchor point (a major population centre), which
 resolves sloppy box overlaps along borders.  Every country is guaranteed at
-least one cell — the one containing its first anchor — so even micro-states
-(Vatican, Monaco) exist on the map.
+least one cell at any resolution — a country left without one gets the
+cell nearest its first anchor that no other country needs — so even
+micro-states (Vatican, Monaco) exist on the map.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -133,29 +134,36 @@ class WorldMap:
         # Guarantee every country at least one cell.  Micro-states whose
         # footprint is smaller than a cell get the cell nearest their
         # anchor that does not hold another country's anchor (so Vatican
-        # City cannot erase Rome).
+        # City cannot erase Rome), was not granted to another micro-state,
+        # and is not the last cell of a country this loop has already
+        # passed (on a 4-degree grid Austria owns one cell; a country
+        # still ahead is granted a new cell when its turn comes).
         anchor_cell_of: Dict[int, int] = {}
         for i, c in enumerate(self._countries):
             # First-registered country keeps the cell when two anchors
             # share it (Rome's cell belongs to Italy, not Vatican City).
             anchor_cell_of.setdefault(grid.cell_index(*c.anchors[0]), i)
-        forced_cells: Dict[int, int] = {}
+        owned = np.bincount(raster[raster != OCEAN],
+                            minlength=len(self._countries))
+        forced_cells: Set[int] = set()
         for idx, country in enumerate(self._countries):
-            if (raster == idx).any():
+            if owned[idx]:
                 continue
-            anchor_lat, anchor_lon = country.anchors[0]
-            distances = grid.distances_from(anchor_lat, anchor_lon)
-            for cell in np.argsort(distances)[:64]:
+            distances = grid.distances_from(*country.anchors[0])
+            for cell in np.argsort(distances):
                 cell = int(cell)
-                owner = anchor_cell_of.get(cell)
-                if cell in forced_cells:
-                    continue  # already granted to another micro-state
-                if owner is None or owner == idx:
-                    raster[cell] = idx
-                    forced_cells[cell] = idx
-                    break
-            else:
-                raster[grid.cell_index(anchor_lat, anchor_lon)] = idx
+                owner = int(raster[cell])
+                if (cell in forced_cells
+                        or anchor_cell_of.get(cell, idx) != idx
+                        or (owner != OCEAN and owner < idx
+                            and owned[owner] == 1)):
+                    continue
+                if owner != OCEAN:
+                    owned[owner] -= 1
+                raster[cell] = idx
+                owned[idx] = 1
+                forced_cells.add(cell)
+                break
         return raster
 
     def _continent_raster(self) -> np.ndarray:

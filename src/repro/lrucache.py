@@ -2,10 +2,10 @@
 
 One implementation backs every long-lived cache in the reproduction —
 the memoised figure audit (:func:`repro.experiments.cached_audit`) and
-the verdict service's :class:`~repro.service.verdict.VerdictCache` — so
-hit/miss/eviction accounting, eviction order, and the
-``cache_info()``/``cache_clear()`` wrapper API cannot drift between
-call sites.
+the verdict service's verdict and measurement caches
+(:class:`~repro.service.verdict.VerdictService`) — so hit/miss/eviction
+accounting, eviction order, and the ``cache_info()``/``cache_clear()``
+wrapper API cannot drift between call sites.
 
 Design constraints the call sites impose:
 

@@ -308,19 +308,6 @@ class ProxiedClient:
         leg_landmark = self.network.rtt_sample_ms(self.proxy.host, landmark.host, rng)
         return leg_client + leg_landmark + self._overhead(rng)
 
-    def rtt_through_proxy_samples_ms(self, landmark: Landmark, n: int,
-                                     rng: Optional[np.random.Generator] = None
-                                     ) -> np.ndarray:
-        """``n`` tunnelled RTT samples to a landmark, drawn in batch."""
-        rng = rng if rng is not None else self._rng
-        legs_client = self.network.rtt_samples_ms(
-            self.client, self.proxy.host, n, rng,
-            base=self._client_leg_base())
-        legs_landmark = self.network.rtt_samples_ms(
-            self.proxy.host, landmark.host, n, rng)
-        low, high = self.PROXY_OVERHEAD_MS
-        return legs_client + legs_landmark + rng.uniform(low, high, size=n)
-
     def rtt_through_proxy_matrix_ms(self, landmarks: Sequence[Landmark],
                                     n: int,
                                     rng: Optional[np.random.Generator] = None

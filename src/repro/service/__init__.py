@@ -6,7 +6,7 @@ this package decouples per-query cost from per-measurement cost.  A
 :class:`VerdictService` holds the warmed topology (CSR rows, distance
 bank, country words) once, snapshots that state under a
 :class:`TopologyEpoch` content digest, and serves claim queries out of
-an epoch-keyed :class:`VerdictCache` — falling back to micro-batched
+epoch-keyed LRU caches — falling back to micro-batched
 ``predict_fleet`` sweeps only for genuinely uncached hosts.
 
 The determinism contract of the audit pipeline carries over verbatim: a
@@ -16,7 +16,7 @@ epoch, at any batch size, arrival order, or worker count.
 
 from .epoch import EpochRollStats, TopologyEpoch
 from .frontend import FrontendStats, ServiceFrontend
-from .verdict import CachedVerdict, VerdictCache, VerdictResponse, VerdictService
+from .verdict import CachedVerdict, VerdictResponse, VerdictService
 
 __all__ = [
     "CachedVerdict",
@@ -24,7 +24,6 @@ __all__ = [
     "FrontendStats",
     "ServiceFrontend",
     "TopologyEpoch",
-    "VerdictCache",
     "VerdictResponse",
     "VerdictService",
 ]

@@ -27,8 +27,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..netsim.faults import resolve_fault_profile
-
 if TYPE_CHECKING:  # import-free at runtime: epoch loads before verdict
     from ..experiments.scenario import Scenario
 
@@ -50,19 +48,16 @@ class TopologyEpoch:
 
     @classmethod
     def capture(cls, scenario: "Scenario", seed: int = 0,
-                fault_profile: Optional[object] = None,
+                profile_name: Optional[str] = None,
                 quarantined: Iterable[str] = ()) -> "TopologyEpoch":
         """Digest a scenario's current measurement substrate.
 
-        ``fault_profile`` follows :func:`~repro.experiments.run_audit`'s
-        resolution rules (profile object, name, or None meaning the
-        scenario's own); ``quarantined`` is the measure-time exclusion
-        set this epoch serves under.
+        ``profile_name`` names the resolved fault profile the service
+        measures under (see
+        :func:`~repro.experiments.audit.fault_environment`; None is
+        fault-free); ``quarantined`` is the measure-time exclusion set
+        this epoch serves under.
         """
-        profile = resolve_fault_profile(
-            fault_profile if fault_profile is not None
-            else scenario.fault_profile)
-        profile_name = profile.name if profile is not None else None
         hasher = hashlib.sha256()
         hasher.update(scenario.network.topology_digest().encode())
         landmarks = sorted(
@@ -110,7 +105,7 @@ class EpochRollStats:
     carried_forward: int = 0
     #: Cached measurements dropped because they depended on the delta.
     flushed: int = 0
-    #: Hosts re-measured during the roll (0 when ``reaudit=False``).
+    #: Hosts re-measured during the roll.
     reevaluated: int = 0
     #: Host ids whose verdicts were re-evaluated, ascending.
     reevaluated_hosts: List[int] = field(default_factory=list)

@@ -13,11 +13,11 @@ a line longer than the stream limit (64 KiB) is answered once with
 The concurrency story is deliberately simple and bounded:
 
 * arrivals land in one ``asyncio.Queue`` whose size is capped
-  (``REPRO_SERVICE_QUEUE_MAX``); when it is full the request is
-  immediately *shed* as a degraded verdict instead of queueing without
-  bound — overload degrades answers, never latency;
+  (``queue_max``); when it is full the request is immediately *shed* as
+  a degraded verdict instead of queueing without bound — overload
+  degrades answers, never latency;
 * a single drainer task pulls whatever has accumulated (up to
-  ``REPRO_SERVICE_BATCH_MAX``) and evaluates it as **one**
+  ``batch_max``, by default the service's) and evaluates it as **one**
   ``verdict_batch`` call — concurrently-arriving uncached queries
   coalesce into single ``predict_fleet`` sweeps for free.
 
@@ -107,15 +107,17 @@ class FrontendStats:
 class ServiceFrontend:
     """Bounded-queue micro-batching front end for a `VerdictService`."""
 
-    def __init__(self, service: VerdictService,
-                 queue_max: Optional[int] = None,
+    def __init__(self, service: VerdictService, queue_max: int = 256,
                  batch_max: Optional[int] = None) -> None:
-        from .verdict import _knob_or
-
+        if batch_max is None:
+            batch_max = service.batch_max
+        for name, size in (("queue_max", queue_max),
+                           ("batch_max", batch_max)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size!r}")
         self.service = service
-        self.queue_max = _knob_or("REPRO_SERVICE_QUEUE_MAX", queue_max)
-        self.batch_max = (batch_max if batch_max is not None
-                          else service.batch_max)
+        self.queue_max = queue_max
+        self.batch_max = batch_max
         self.stats = FrontendStats()
         self._queue: Optional[asyncio.Queue] = None
         self._drainer: Optional[asyncio.Task] = None
@@ -264,13 +266,10 @@ class ServiceFrontend:
         self._queue = None
 
 
-def serve_blocking(service: VerdictService, host: str = "127.0.0.1",
-                   port: int = 8737, queue_max: Optional[int] = None,
-                   batch_max: Optional[int] = None,
+def serve_blocking(frontend: ServiceFrontend, host: str = "127.0.0.1",
+                   port: int = 8737,
                    max_requests: Optional[int] = None) -> FrontendStats:
     """Run a frontend until interrupted; the ``repro serve`` entry point."""
-    frontend = ServiceFrontend(service, queue_max=queue_max,
-                               batch_max=batch_max)
 
     async def _run() -> None:
         ready = asyncio.Event()

@@ -8,10 +8,13 @@ machinery:
   packed multilateration region (plus the landmark names the
   measurement *requested* — the dependency set epoch rolls invalidate
   by); and
-* a :class:`VerdictCache` keyed ``(host_id, epoch_digest, claim)``
-  holding the finished assessment, so re-asking about a different
-  country for an already-measured host costs one region/country
-  intersection, not a measurement.
+* a verdict cache keyed ``(host_id, epoch_digest, claim)`` holding the
+  finished assessment, so re-asking about a different country for an
+  already-measured host costs one region/country intersection, not a
+  measurement.
+
+Both are :class:`repro.lrucache.LruCache` instances, the implementation
+behind ``cached_audit`` too.
 
 Uncached queries are coalesced into micro-batches and measured by the
 audit's own kernel (:func:`repro.experiments.audit.measure_chunk`):
@@ -38,11 +41,8 @@ from dataclasses import asdict, dataclass
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
-from .. import config
 from ..core.assessment import assess_claim
-from ..core.base import GeolocationAlgorithm
 from ..core.cbgpp import CBGPlusPlus
-from ..core.resilience import RetryPolicy
 from ..core.twophase import TwoPhaseDriver, TwoPhaseSelector
 from ..experiments.audit import (AuditSink, MeasureContext, campaign_eta,
                                  fault_environment, record_from_payload,
@@ -143,59 +143,6 @@ class VerdictResponse:
                    cached=False, shed=True)
 
 
-class VerdictCache:
-    """Bounded LRU of finished verdicts keyed ``(host, epoch, claim)``.
-
-    A thin typed veneer over the shared :class:`repro.lrucache.LruCache`
-    (the same implementation behind ``cached_audit``), so hit/miss/
-    eviction accounting and the ``cache_info()``/``cache_clear()`` API
-    cannot drift between the two call sites.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self._entries: "LruCache[Tuple[int, str, str], CachedVerdict]" = \
-            LruCache(maxsize=maxsize)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Tuple[int, str, str]) -> Optional[CachedVerdict]:
-        return self._entries.get(key)
-
-    def peek(self, key: Tuple[int, str, str]) -> Optional[CachedVerdict]:
-        return self._entries.peek(key)
-
-    def put(self, key: Tuple[int, str, str], value: CachedVerdict) -> None:
-        self._entries.put(key, value)
-
-    def pop(self, key: Tuple[int, str, str]) -> Optional[CachedVerdict]:
-        return self._entries.pop(key)
-
-    def items(self) -> List[Tuple[Tuple[int, str, str], CachedVerdict]]:
-        return self._entries.items()
-
-    def cache_info(self) -> CacheInfo:
-        return self._entries.cache_info()
-
-    def cache_clear(self) -> None:
-        self._entries.cache_clear()
-
-
-def _knob_or(name: str, override: Optional[int]) -> int:
-    """An explicit constructor argument, else the knob (0 = default)."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"{name} override must be >= 1: {override!r}")
-        return override
-    value = config.env_value(name)
-    assert isinstance(value, int)
-    if value > 0:
-        return value
-    default = config.knob(name).default
-    assert isinstance(default, int)
-    return default
-
-
 class VerdictService:
     """A long-running claim-credibility oracle over one warmed scenario.
 
@@ -213,29 +160,29 @@ class VerdictService:
 
     def __init__(self, scenario: Scenario, seed: int = 0,
                  fault_profile: Optional[object] = None,
-                 algorithm: Optional[GeolocationAlgorithm] = None,
-                 cache_slots: Optional[int] = None,
-                 batch_max: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
+                 cache_slots: int = 4096,
+                 batch_max: int = 32,
+                 workers: int = 1,
                  quarantined: Iterable[str] = ()) -> None:
+        """``cache_slots`` bounds each cache layer, ``batch_max`` is the
+        largest micro-batch one ``predict_fleet`` sweep measures, and
+        ``workers`` the fork-pool size (1 measures in process); verdicts
+        are byte-identical at any of these settings."""
+        for name, size in (("cache_slots", cache_slots),
+                           ("batch_max", batch_max), ("workers", workers)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size!r}")
         self.scenario = scenario
         self.seed = seed
-        # Keep the *unresolved* profile argument: TopologyEpoch.capture
-        # and campaign_eta apply run_audit's exact resolution chain
-        # (explicit argument, else the scenario's own), so handing them
-        # the original argument keeps all three resolutions identical.
-        self._fault_profile_arg = fault_profile
-        _, self._injector = fault_environment(scenario, seed, fault_profile)
-        if algorithm is None:
-            algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
-        self.algorithm = algorithm
+        profile, self._injector = fault_environment(scenario, seed,
+                                                    fault_profile)
+        self._profile_name = profile.name if profile is not None else None
+        self.algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)
         self._driver = TwoPhaseDriver(
-            TwoPhaseSelector(scenario.atlas, seed=seed), algorithm)
-        self.cache_slots = _knob_or("REPRO_SERVICE_CACHE_SLOTS", cache_slots)
-        self.batch_max = _knob_or("REPRO_SERVICE_BATCH_MAX", batch_max)
-        self.workers = _knob_or("REPRO_SERVICE_WORKERS", workers)
-        self._retry_policy = retry_policy
+            TwoPhaseSelector(scenario.atlas, seed=seed), self.algorithm)
+        self.cache_slots = cache_slots
+        self.batch_max = batch_max
+        self.workers = workers
         servers = scenario.all_servers()
         self._by_host_id = {s.host.host_id: s for s in servers}
         self._by_hostname = {s.hostname: s for s in servers}
@@ -247,13 +194,14 @@ class VerdictService:
             [scenario.client]
             + [lm.host for lm in scenario.atlas.all_landmarks()]
             + [s.host for s in servers])
-        self.eta = campaign_eta(scenario, seed, self._fault_profile_arg)
+        self.eta = campaign_eta(scenario, seed, profile, self._injector)
         self._quarantined: FrozenSet[str] = frozenset(quarantined)
         self.epoch = TopologyEpoch.capture(
-            scenario, seed, self._fault_profile_arg, self._quarantined)
-        self.verdict_cache = VerdictCache(self.cache_slots)
+            scenario, seed, self._profile_name, self._quarantined)
+        self.verdict_cache: "LruCache[Tuple[int, str, str], CachedVerdict]" \
+            = LruCache(maxsize=cache_slots)
         self._measurements: "LruCache[Tuple[int, str], _Measurement]" = \
-            LruCache(maxsize=self.cache_slots)
+            LruCache(maxsize=cache_slots)
 
     # -- query API ------------------------------------------------------------
 
@@ -326,7 +274,6 @@ class VerdictService:
     # -- epoch management -----------------------------------------------------
 
     def roll_epoch(self, quarantined: Optional[Iterable[str]] = None,
-                   reaudit: bool = True,
                    sink: Optional[AuditSink] = None) -> EpochRollStats:
         """Move to a new epoch, invalidating only dependent entries.
 
@@ -334,16 +281,16 @@ class VerdictService:
         keeps the current one — useful after external substrate churn).
         Cached measurements whose requested panel is disjoint from the
         quarantine delta carry forward byte-identically; the rest are
-        flushed and — with ``reaudit`` — re-evaluated immediately in
-        micro-batches, each re-audited fleet server streaming an
-        :class:`AuditRecord` through ``sink`` (the PR-7 sink machinery)
-        rather than rematerialising the fleet.  A substrate change
+        flushed and re-evaluated immediately in micro-batches, each
+        re-audited fleet server streaming an :class:`AuditRecord` through
+        ``sink`` (the campaign's sink protocol) rather than
+        rematerialising the fleet.  A substrate change
         (landmark churn, topology edits) flushes everything.
         """
         names = frozenset(self._quarantined if quarantined is None
                           else quarantined)
         new = TopologyEpoch.capture(self.scenario, self.seed,
-                                    self._fault_profile_arg, names)
+                                    self._profile_name, names)
         old = self.epoch
         stats = EpochRollStats(old_digest=old.digest, new_digest=new.digest)
         if new.digest == old.digest:
@@ -380,7 +327,7 @@ class VerdictService:
         self.epoch = new
         self._quarantined = names
 
-        if reaudit and flushed_hosts:
+        if flushed_hosts:
             # Only fleet servers can be re-audited eagerly; ad-hoc
             # targets (e.g. a web demo visitor) re-measure lazily on
             # their next query.
@@ -512,7 +459,7 @@ class VerdictService:
         context = MeasureContext(
             scenario=self.scenario, driver=self._driver, eta=self.eta.eta,
             seed=self.seed, injector=self._injector,
-            retry_policy=self._retry_policy, quarantined=self._quarantined)
+            quarantined=self._quarantined)
         chunks = [list(range(at, min(at + self.batch_max, len(servers))))
                   for at in range(0, len(servers), self.batch_max)]
         out: Dict[int, ServerPayload] = {}

@@ -93,12 +93,6 @@ class CooccurrenceMatrix(LabelMatrix):
             self.add_set(covered)
         return self
 
-    @classmethod
-    def from_sets(cls, labels: Sequence[str],
-                  sets: Iterable[Iterable[str]]) -> "CooccurrenceMatrix":
-        """Build a matrix by streaming ``sets`` through :meth:`add_sets`."""
-        return cls(labels).add_sets(sets)
-
     def confusability(self, a: str, b: str) -> float:
         """P(region covers b | region covers a); 0 when a never appears."""
         total_a = self.get(a, a)

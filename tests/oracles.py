@@ -14,12 +14,13 @@ faster way, kept here so tests can pin the fast form bit for bit:
   ``PathEngine``'s public methods, swapped into a ``Network`` through
   its ``engine`` attribute;
 * the ``bool_*`` functions — the boolean-mask formulas of the
-  ``Region`` and ``WorldMap`` queries, which now run on packed words.
+  ``Region`` and ``WorldMap`` queries and of the largest-consistent-
+  subset search, which now run on packed words.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -30,6 +31,7 @@ from repro.core.disambiguation import (AuditRecord, _reclassify,
                                        disambiguate_by_datacenters,
                                        group_by_metadata)
 from repro.core.proxy_adapter import ProxyMeasurer, estimate_eta
+from repro.core.multilateration import SUBSET_SEARCH_BUDGET
 from repro.core.twophase import TwoPhaseDriver, TwoPhaseSelector
 from repro.experiments.audit import AuditResult
 from repro.geo.grid import Grid
@@ -266,3 +268,50 @@ def bool_distance_to_country_km(worldmap: WorldMap, mask: np.ndarray,
     return float(min(haversine_km_vec(grid.cell_lats[cell],
                                       grid.cell_lons[cell], lats, lons).min()
                      for cell in np.flatnonzero(mask)))
+
+
+# -- the boolean subset search ------------------------------------------------
+
+def bool_largest_consistent_subset(masks, base_mask: Optional[np.ndarray]
+                                   = None) -> Tuple[List[int], np.ndarray]:
+    """The subset search on plain boolean rows: the same greedy
+    incumbent, witness-cell certificate and budgeted branch-and-bound."""
+    matrix = np.atleast_2d(np.asarray(masks, dtype=bool))
+    n, n_bits = matrix.shape
+    base = (np.ones(n_bits, dtype=bool) if base_mask is None
+            else np.asarray(base_mask, dtype=bool))
+    everything = base & matrix.all(axis=0)
+    if everything.any():
+        return list(range(n)), everything
+    order = sorted(range(n), key=lambda i: -int(matrix[i].sum()))
+    greedy: List[int] = []
+    greedy_mask = base.copy()
+    for index in order:
+        if (greedy_mask & matrix[index]).any():
+            greedy_mask &= matrix[index]
+            greedy.append(index)
+    witness = (matrix.sum(axis=0) > len(greedy)) & base
+    if not witness.any():
+        return sorted(greedy), greedy_mask
+    rows = matrix[:, witness]
+    best = [len(greedy), None]
+    budget = [SUBSET_SEARCH_BUDGET]
+
+    def descend(position: int, current: np.ndarray, chosen: List[int]):
+        if budget[0] <= 0:
+            return
+        budget[0] -= 1
+        if len(chosen) + n - position <= best[0]:
+            return
+        if position == n:
+            best[:] = [len(chosen), list(chosen)]
+            return
+        candidate = current & rows[order[position]]
+        if candidate.any():
+            descend(position + 1, candidate, chosen + [order[position]])
+        descend(position + 1, current, chosen)
+
+    descend(0, np.ones(rows.shape[1], dtype=bool), [])
+    if best[1] is None:
+        return sorted(greedy), greedy_mask
+    return sorted(best[1]), base & matrix[best[1]].all(axis=0)

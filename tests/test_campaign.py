@@ -7,6 +7,7 @@ without fault injection — and the merged campaign journal is
 byte-identical to a finalized single-shot journal of the same fleet.
 """
 
+import hashlib
 import json
 import os
 
@@ -16,9 +17,11 @@ from repro.experiments import (DeploymentPlan, FleetTemplate, run_campaign,
                                run_campaign_shard, merge_campaign,
                                single_shot_report, run_audit)
 from repro.experiments.campaign import (MERGED_JOURNAL, ShardTally,
-                                        _shard_checkpoint, shard_bounds)
+                                        shard_bounds)
 from repro.experiments.checkpoint import (AuditCheckpoint, CheckpointMismatch,
                                           shard_journal_path)
+from repro.experiments.scenario import SMALL_CROWD_QUOTAS, build_scenario
+from repro.service import VerdictService
 
 PLAN = DeploymentPlan(name="slice-60", max_servers=60)
 SMALL_PLAN = DeploymentPlan(name="slice-36", max_servers=36)
@@ -77,6 +80,14 @@ class TestDeploymentPlan:
     def test_max_servers_truncates_prefix(self, scenario):
         full = DeploymentPlan(max_servers=80).expand(scenario)
         assert PLAN.expand(scenario) == full[:60]
+
+    def test_zero_cap_selects_no_servers(self, scenario):
+        assert DeploymentPlan(max_servers=0).expand(scenario) == []
+        assert len(DeploymentPlan(max_servers=1).expand(scenario)) == 1
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_servers"):
+            DeploymentPlan(max_servers=-5)
 
     def test_provider_template_filters(self, scenario):
         provider = scenario.all_servers()[0].provider
@@ -224,7 +235,9 @@ class TestAtomicFinalize:
     def _shard0_checkpoint(self, scenario, campaign_dir, path):
         servers = PLAN.expand(scenario)
         lo, hi = shard_bounds(len(servers), N_SHARDS)[0]
-        return _shard_checkpoint(scenario, servers[lo:hi], path, 0, None)
+        return AuditCheckpoint.for_fleet(
+            path, servers[lo:hi], seed=0, profile=None,
+            n_cells=scenario.worldmap.grid.n_cells)
 
     def test_incomplete_journal_refuses_finalize(self, scenario,
                                                  campaign_dir, sharded_run,
@@ -287,3 +300,54 @@ class TestFaultedCampaign:
         rebuilt = merge_campaign(scenario, PLAN, shards=N_SHARDS,
                                  journal_dir=campaign_dir)
         assert rebuilt.to_json() == sharded_run.report.to_json()
+
+
+class TestExplicitNullProfile:
+    """``fault_profile="none"`` means fault-free everywhere, even over a
+    scenario whose own profile is lossy-wan: each entry point resolves
+    the argument once, and a resolved fault-free profile is never
+    mistaken for "use the scenario's own"."""
+
+    SLICE = DeploymentPlan(name="slice-8", max_servers=8)
+
+    @staticmethod
+    def _world(fault_profile):
+        return build_scenario(
+            seed=3, proxy_scale=0.1,
+            anchor_quotas={"EU": 12, "NA": 6, "AS": 4},
+            probe_quotas={"EU": 10, "NA": 6},
+            crowd_quotas=SMALL_CROWD_QUOTAS, fault_profile=fault_profile)
+
+    @pytest.fixture(scope="class")
+    def lossy(self):
+        return self._world("lossy-wan")
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return self._world(None)
+
+    def test_campaign_matches_single_shot(self, lossy, clean):
+        reference = single_shot_report(lossy, self.SLICE, fault_profile="none")
+        run = run_campaign(lossy, self.SLICE, shards=2, fault_profile="none")
+        assert run.report.fault_profile is None
+        assert run.report.to_json() == reference.to_json()
+        assert reference.to_json() == single_shot_report(
+            clean, self.SLICE).to_json()
+
+    def test_audit_is_fault_free(self, lossy, clean):
+        def signature(world, **kwargs):
+            result = run_audit(world, servers=self.SLICE.expand(world),
+                               disambiguate=False, **kwargs)
+            return result.fault_profile, [
+                (record.region.packed_bytes(), record.degraded)
+                for record in result.records]
+        assert signature(lossy, fault_profile="none") == signature(clean)
+
+    def test_service_keeps_epoch_and_verdicts(self, lossy):
+        service = VerdictService(lossy, fault_profile="none")
+        responses = service.verdict_batch(self.SLICE.expand(lossy))
+        verdicts = "".join(response.canonical_json()
+                           for response in responses)
+        assert service.epoch.digest.startswith("e098a9d97d527ea9")
+        assert hashlib.sha256(verdicts.encode()).hexdigest().startswith(
+            "863503075c506263")

@@ -26,6 +26,28 @@ class TestParser:
             build_parser().parse_args(
                 ["locate", "0", "0", "--algorithm", "dowsing"])
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--servers", "-5"],
+        ["audit", "--workers", "0"],
+        ["campaign", "--shards", "0"],
+        ["campaign", "--workers", "0"],
+        ["serve", "--workers", "0"],
+        ["serve", "--batch-max", "0"],
+        ["serve", "--queue-max", "0"],
+        ["serve", "--cache-slots", "0"],
+        ["serve", "--max-requests", "0"],
+        ["serve", "--cache-slots", "lots"],
+    ])
+    def test_bad_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    def test_zero_servers_accepted(self):
+        assert build_parser().parse_args(["audit", "--servers", "0"]) \
+            .servers == 0
+
 
 class TestCommands:
     def test_audit_command(self, scenario, capsys):
@@ -69,7 +91,7 @@ class TestCampaignCommand:
 
     def test_campaign_parser_defaults(self):
         args = build_parser().parse_args(["campaign"])
-        assert args.shards is None
+        assert args.shards == 1
         assert args.shard_index is None
         assert not args.merge
 
@@ -103,6 +125,19 @@ class TestCampaignCommand:
         assert main(["campaign", "--plan", self._plan_file(tmp_path),
                      "--shards", "2", "--shard-index", "0"]) == 2
         assert "journal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["2", "-1"])
+    def test_shard_index_out_of_range(self, capsys, tmp_path, monkeypatch,
+                                      index):
+        """Rejected before any scenario is built."""
+        import repro.cli
+
+        def no_build(args):
+            raise AssertionError("scenario built for a bad --shard-index")
+        monkeypatch.setattr(repro.cli, "_scenario", no_build)
+        assert main(["campaign", "--shards", "2", "--shard-index", index,
+                     "--journal-dir", str(tmp_path)]) == 2
+        assert "--shard-index" in capsys.readouterr().err
 
     def test_shard_index_and_merge_exclusive(self, scenario, capsys,
                                              tmp_path):

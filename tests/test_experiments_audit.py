@@ -166,3 +166,10 @@ class TestWarmSelectionAndEta:
         short = run_audit(scenario, max_servers=3, seed=0)
         longer = run_audit(scenario, max_servers=30, seed=0)
         assert short.eta == longer.eta
+
+    def test_server_cap_counts_from_the_front(self, scenario):
+        """``max_servers`` is a count: 0 audits nothing, and a negative
+        cap is an error rather than a slice from the end."""
+        assert run_audit(scenario, max_servers=0, seed=0).records == []
+        with pytest.raises(ValueError, match="max_servers"):
+            run_audit(scenario, max_servers=-5, seed=0)

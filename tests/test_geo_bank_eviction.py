@@ -13,6 +13,7 @@ import pytest
 
 from repro.geo.bank import DistanceBank
 from repro.geo.grid import Grid
+from repro.geo.region import pack_bits
 from repro.geodesy.greatcircle import haversine_km_vec
 
 
@@ -102,7 +103,7 @@ class TestEvictionConsistency:
         radii = families.astype(np.float32)
         naive = np.stack([(fields <= radii[f][:, None]).all(axis=0)
                           for f in range(radii.shape[0])])
-        assert np.array_equal(pruned, naive)
+        assert np.array_equal(pruned, pack_bits(naive))
 
     def test_eviction_keeps_newest_half(self, grid):
         rng = np.random.default_rng(4)

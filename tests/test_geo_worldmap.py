@@ -1,5 +1,7 @@
 """Tests for the rasterised world map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,28 @@ class TestRasterConsistency:
             c.iso2 for c in world.countries()
             if world.country_at(*c.anchors[0]) != c.iso2]
         assert len(coarse_mismatches) <= 20, coarse_mismatches
+
+    @pytest.mark.parametrize("resolution,digest", [
+        (0.5, "452beba3c5e90825"),
+        (1.0, "1e76ca8726f5326d"),
+        (2.0, "a1f786cc1873cf24"),
+        (4.0, None),
+        (10.0, None),
+    ])
+    def test_every_country_owns_a_cell_at_any_resolution(self, resolution,
+                                                         digest):
+        """A micro-state's forced cell never takes the only cell of a
+        country already rasterised (Austria and Hungary at 4 degrees,
+        Kazakhstan at 10); the finer rasters keep their bytes."""
+        coarse = WorldMap(grid=Grid(resolution_deg=resolution))
+        raster = coarse.country_raster
+        owned = np.bincount(raster[raster >= 0],
+                            minlength=len(coarse.countries()))
+        assert [coarse.countries()[idx].iso2
+                for idx in np.flatnonzero(owned == 0)] == []
+        if digest is not None:
+            assert hashlib.sha256(raster.tobytes()).hexdigest().startswith(
+                digest)
 
     def test_land_fraction_plausible(self, world):
         # Earth is ~29% land; coarse boxes overshoot a little.

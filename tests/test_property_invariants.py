@@ -24,6 +24,7 @@ from repro.core.calibration import CbgCalibration
 from repro.experiments import run_audit
 from repro.geo import Grid
 from repro.geodesy import BASELINE_SPEED_KM_PER_MS, MAX_SURFACE_DISTANCE_KM
+from tests.oracles import bool_largest_consistent_subset
 
 GRID = Grid(resolution_deg=10.0)   # 648 cells: brute-force friendly
 
@@ -84,7 +85,7 @@ class TestSubsetSearchExactness:
 
 
 class TestSubsetEngineEquivalence:
-    """The bitset and boolean subset-search engines are interchangeable."""
+    """The bitset subset search equals the boolean oracle's."""
 
     @given(seed=st.integers(0, 100_000),
            n_masks=st.integers(min_value=1, max_value=12),
@@ -95,10 +96,8 @@ class TestSubsetEngineEquivalence:
         rng = np.random.default_rng(seed)
         masks = rng.random((n_masks, n_bits)) < density
         base = rng.random(n_bits) < 0.8
-        chosen_bool, mask_bool = largest_consistent_subset(
-            masks, base, engine="bool")
-        chosen_bits, mask_bits = largest_consistent_subset(
-            masks, base, engine="bitset")
+        chosen_bool, mask_bool = bool_largest_consistent_subset(masks, base)
+        chosen_bits, mask_bits = largest_consistent_subset(masks, base)
         assert chosen_bool == chosen_bits
         assert np.array_equal(mask_bool, mask_bits)
 
@@ -107,10 +106,8 @@ class TestSubsetEngineEquivalence:
     def test_disk_masks_identical(self, disks):
         masks = [GRID.disk_mask(lat, lon, radius)
                  for lat, lon, radius in disks]
-        chosen_bool, mask_bool = largest_consistent_subset(
-            masks, engine="bool")
-        chosen_bits, mask_bits = largest_consistent_subset(
-            masks, engine="bitset")
+        chosen_bool, mask_bool = bool_largest_consistent_subset(masks)
+        chosen_bits, mask_bits = largest_consistent_subset(masks)
         assert chosen_bool == chosen_bits
         assert np.array_equal(mask_bool, mask_bits)
 

@@ -14,16 +14,10 @@ import json
 
 import pytest
 
-from repro import config
 from repro.experiments import run_audit
 from repro.lrucache import CacheInfo, LruCache
-from repro.service import (
-    ServiceFrontend,
-    TopologyEpoch,
-    VerdictCache,
-    VerdictService,
-)
-from repro.service.verdict import CachedVerdict, _knob_or
+from repro.service import ServiceFrontend, TopologyEpoch, VerdictService
+from repro.service.verdict import CachedVerdict
 
 N_SERVERS = 6
 
@@ -89,14 +83,6 @@ class TestLruCache:
         cache.cache_clear()
         assert cache.cache_info() == CacheInfo(0, 0, 2, 0, 0)
         assert cache.peek("a") is None
-
-    def test_verdict_cache_api_parity_with_cached_audit(self):
-        from repro.experiments import cached_audit
-        cache = VerdictCache(maxsize=4)
-        assert type(cache.cache_info()) is type(cached_audit.cache_info())
-        assert cache.cache_info()._fields == (
-            "hits", "misses", "maxsize", "currsize", "evictions")
-        cache.cache_clear()
 
 
 # -- epoch digests ------------------------------------------------------------
@@ -314,42 +300,33 @@ class TestEpochRoll:
         original = rolling.epoch.digest
         rolling.verdict_batch(scenario.all_servers()[:4])
         name, _ = _panel_split(rolling)
-        rolling.roll_epoch(quarantined={name}, reaudit=False)
+        rolling.roll_epoch(quarantined={name})
         assert rolling.epoch.digest != original
-        stats = rolling.roll_epoch(quarantined=(), reaudit=False)
+        stats = rolling.roll_epoch(quarantined=())
         assert rolling.epoch.digest == original
         assert stats.delta == (name,)
 
 
-# -- knobs --------------------------------------------------------------------
+# -- sizes --------------------------------------------------------------------
 
 class TestServiceKnobs:
-    def test_defaults_registered(self):
-        assert config.knob("REPRO_SERVICE_CACHE_SLOTS").default == 4096
-        assert config.knob("REPRO_SERVICE_BATCH_MAX").default == 32
-        assert config.knob("REPRO_SERVICE_QUEUE_MAX").default == 256
-        assert config.knob("REPRO_SERVICE_WORKERS").default == 1
+    """Cache, batch, queue and pool sizes are constructor arguments."""
 
-    def test_env_override_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_BATCH_MAX", "7")
-        assert _knob_or("REPRO_SERVICE_BATCH_MAX", None) == 7
+    def test_defaults_registered(self, service):
+        assert service.cache_slots == 4096
+        assert service.batch_max == 32
+        assert service.workers == 1
+        frontend = ServiceFrontend(service)
+        assert frontend.queue_max == 256
+        assert frontend.batch_max == service.batch_max
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_BATCH_MAX", "7")
-        assert _knob_or("REPRO_SERVICE_BATCH_MAX", 3) == 3
-
-    def test_zero_env_means_declared_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_QUEUE_MAX", "0")
-        assert _knob_or("REPRO_SERVICE_QUEUE_MAX", None) == 256
-
-    def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError):
-            _knob_or("REPRO_SERVICE_WORKERS", 0)
-
-    def test_invalid_env_value_raises_knob_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "many")
-        with pytest.raises(config.KnobError):
-            config.env_value("REPRO_SERVICE_WORKERS")
+    def test_invalid_override_rejected(self, scenario, service):
+        for size in ("cache_slots", "batch_max", "workers"):
+            with pytest.raises(ValueError, match=size):
+                VerdictService(scenario, seed=0, **{size: 0})
+        for size in ("queue_max", "batch_max"):
+            with pytest.raises(ValueError, match=size):
+                ServiceFrontend(service, **{size: 0})
 
 
 # -- the asyncio frontend -----------------------------------------------------
