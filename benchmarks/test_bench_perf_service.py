@@ -172,7 +172,7 @@ def test_perf_service_frontend_qps(benchmark, service, scenario):
     shed_total = 0
 
     async def burst():
-        frontend = ServiceFrontend(service, queue_max=256, batch_max=32)
+        frontend = ServiceFrontend(service, queue_max=256)
         round_latencies = []
 
         async def one(server):

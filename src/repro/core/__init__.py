@@ -12,7 +12,7 @@ Algorithms
 :class:`Spotter`
     Laki et al. 2011: global cubic Gaussian delay model, Bayesian rings.
 :class:`OctantSpotterHybrid`
-    Spotter's model inside Octant's ring intersection.
+    Spotter's model inside Quasi-Octant's ring votes.
 :class:`CBGPlusPlus`
     The paper's CBG++: slowline + two-tier largest-consistent-subset
     multilateration.
@@ -62,9 +62,7 @@ from .multilateration import (
     RingConstraint,
     bayesian_region,
     intersect_disks,
-    intersect_rings,
     largest_consistent_subset,
-    mode_region,
 )
 from .observations import RttObservation, merge_min, require_observations
 from .octant import QuasiOctant
@@ -136,12 +134,10 @@ __all__ = [
     "estimate_eta",
     "group_by_metadata",
     "intersect_disks",
-    "intersect_rings",
     "largest_consistent_subset",
     "detect_colocation",
     "merge_min",
     "proxy_pair_rtt_ms",
-    "mode_region",
     "metadata_group_key",
     "refine_assessments",
     "require_observations",

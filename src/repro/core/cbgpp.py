@@ -48,14 +48,15 @@ class CBGPlusPlus(CBG):
         delays = np.array([obs.one_way_ms for obs in observations])
 
         # Both disk families share centres — only radii differ — so one
-        # fused pass over the bank's block aggregates yields the AND of
-        # all baseline disks *and* the AND of all disks at once, emitted
-        # straight as packed words.
+        # call of the bank's disk kernel, on a fleet of one, yields the
+        # AND of all baseline disks *and* the AND of all disks at once,
+        # emitted straight as packed words.
         best_radii = self.disk_radii_km(names, delays).astype(np.float32)
         base_radii = self.baseline_radii_km(delays).astype(np.float32)
         joint_radii = np.minimum(base_radii, best_radii)
-        families = grid.bank.disk_intersections(
-            lats, lons, np.stack([base_radii, joint_radii]))
+        families = grid.bank.disk_intersections_fleet(
+            grid.bank.rows(lats, lons)[None],
+            np.stack([base_radii, joint_radii])[:, None])[:, 0]
         base_and = Region.from_words(grid, families[0])
         joint_and: Optional[Region] = Region.from_words(grid, families[1])
 
@@ -125,16 +126,15 @@ class CBGPlusPlus(CBG):
                       ) -> List[Prediction]:
         """One bank sweep for every server of a fleet at once.
 
-        The vectorised prefilter evaluates both disk families for all
-        servers in a handful of NumPy passes over the block aggregates
-        (see DESIGN.md §5d).  Servers whose joint AND is non-empty — the
-        overwhelming majority — are finished right there, exactly like
+        The disk kernel evaluates the joint family for all servers in a
+        handful of NumPy passes over the block aggregates (see DESIGN.md
+        §5d).  Servers whose joint AND is non-empty — the overwhelming
+        majority — are finished right there, exactly like
         :meth:`predict`'s fast path; the rest carry genuinely
-        conflicting disks and drop to the scalar pipeline, whose
+        conflicting disks and drop to :meth:`predict`, whose
         largest-consistent-subset search is inherently per-server.
-        Bit-identical to ``[self.predict(p) for p in fleets]``: the
-        fleet kernel compares the same float32 fields against the same
-        float32 radii, an AND is order-independent, and ``+inf`` padding
+        Bit-identical to ``[self.predict(p) for p in fleets]``: both run
+        the same kernel on the same float32 radii, and ``+inf`` padding
         slots constrain nothing.
         """
         prepared = [self._prepare(panel) for panel in fleets]

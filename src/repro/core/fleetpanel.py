@@ -3,19 +3,18 @@
 A fleet audit holds one observation panel per server — a ragged list of
 :class:`~repro.core.observations.RttObservation` whose landmark sets
 heavily overlap across servers (the two-phase driver draws them from the
-same atlas).  The vectorised multilateration engines want the whole
-audit as dense ``(n_servers, k_max)`` matrices instead: one bank row
-index and one radius per (server, landmark-slot), so a single sweep over
-the :class:`~repro.geo.bank.DistanceBank` block aggregates settles every
-server at once.
+same atlas).  The :class:`~repro.geo.bank.DistanceBank` mask kernels
+want the whole audit as dense ``(n_servers, k_max)`` matrices instead:
+one bank row index and one radius per (server, landmark-slot), so a
+single sweep over the block aggregates settles every server at once.
 
 The padding convention that makes ragged fleets rectangular without any
 masking logic: absent slots repeat the server's *first* bank row (always
 a valid row) and carry ``+inf`` radii.  A disk of infinite radius covers
 every cell, so it never constrains an AND; an infinite ring covers no
 cell, so it never adds a vote.  Either way the padded slot is inert and
-the fleet result is bit-identical, server for server, to the scalar
-kernels.
+the fleet result is bit-identical, server for server, to running each
+panel alone as a fleet of one.
 
 Bank row indices are only stable until the next eviction, so a panel
 must be consumed promptly: resolve, sweep, discard.  The builders here

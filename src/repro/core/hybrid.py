@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .base import GeolocationAlgorithm, Prediction
-from .multilateration import RingConstraint, mode_region_from_votes
+from .multilateration import RingConstraint
 from .observations import RttObservation
+from .octant import QuasiOctant
 
 
-class OctantSpotterHybrid(GeolocationAlgorithm):
-    """Spotter's delay model inside Quasi-Octant's ring multilateration."""
+class OctantSpotterHybrid(QuasiOctant):
+    """Spotter's delay model inside Quasi-Octant's ring multilateration.
+
+    Only :meth:`rings` differs from :class:`QuasiOctant`; the ring-vote
+    prediction is inherited.
+    """
 
     name = "hybrid"
 
@@ -38,19 +42,3 @@ class OctantSpotterHybrid(GeolocationAlgorithm):
                 outer_km=mu + self.n_sigma * sigma,
             ))
         return constraints
-
-    def predict(self, observations: Sequence[RttObservation]) -> Prediction:
-        observations = self._prepare(observations)
-        rings = self.rings(observations)
-        # Ring-by-ring vote accumulation: exact (integer addition) and
-        # free of the (k, n_cells) boolean matrix.
-        votes = self.grid.bank.ring_votes(
-            [r.lat for r in rings], [r.lon for r in rings],
-            [r.inner_km for r in rings], [r.outer_km for r in rings])
-        region = mode_region_from_votes(
-            self.grid, votes, base_mask=self.worldmap.plausibility_mask)
-        return Prediction(
-            algorithm=self.name,
-            region=self._clip(region),
-            used_landmarks=[obs.landmark_name for obs in observations],
-        )

@@ -1,9 +1,10 @@
 """Multilateration engines: combine per-landmark constraints into a region.
 
-Three combination strategies, shared by the algorithm front-ends:
+Four combination strategies, shared by the algorithm front-ends:
 
 * **Disk intersection** (CBG): AND together per-landmark disks.
-* **Ring intersection** (Quasi-Octant, Hybrid): AND together annuli.
+* **Ring votes** (Quasi-Octant, Hybrid): keep the cells covered by the
+  most annuli — their AND whenever the annuli share a cell.
 * **Largest consistent subset** (CBG++): the two-tier search that finds
   the biggest family of disks with a common point, so that a single
   underestimated disk cannot blank out the prediction.
@@ -60,20 +61,21 @@ def intersect_disk_fields(grid: Grid, lats: Sequence[float],
                           radii: np.ndarray) -> Region:
     """AND of per-landmark disks given raw centre/radius arrays.
 
-    Evaluated through the bank's block-level intersection kernel: whole
-    coarse blocks strictly inside (or outside) every disk are settled
-    from precomputed block aggregates, and only cells near some disk
-    boundary are compared exactly — bit-identical to rasterising each
-    disk over the full grid, at a fraction of the memory traffic.  The
-    kernel emits uint64 words that the region adopts without ever
+    Evaluated as a fleet of one through the bank's disk kernel
+    (:meth:`~repro.geo.bank.DistanceBank.disk_intersections_fleet`):
+    whole coarse blocks strictly inside (or outside) every disk are
+    settled from precomputed block aggregates, and only cells near some
+    disk boundary are compared exactly — bit-identical to rasterising
+    each disk over the full grid, at a fraction of the memory traffic.
+    The kernel emits uint64 words that the region adopts without ever
     materialising a boolean row.
     """
     if len(lats) == 0:
         raise ValueError("no disks to intersect")
     radii = np.asarray(radii, dtype=np.float32)
-    if (radii < 0).any():
-        raise ValueError("negative disk radius")
-    words = grid.bank.disk_intersections(lats, lons, radii[None, :])[0]
+    bank = grid.bank
+    words = bank.disk_intersections_fleet(
+        bank.rows(lats, lons)[None], radii[None, None])[0, 0]
     return Region.from_words(grid, words)
 
 
@@ -86,27 +88,16 @@ def intersect_disks(grid: Grid, disks: Sequence[DiskConstraint]) -> Region:
         np.array([d.radius_km for d in disks], dtype=np.float32))
 
 
-def intersect_rings(grid: Grid, rings: Sequence[RingConstraint]) -> Region:
-    """Quasi-Octant multilateration: the AND of every annulus.
-
-    The bank AND-reduces ring by ring, so the historical ``(k, n_cells)``
-    boolean matrix is never materialised; the reduced row is emitted
-    directly as uint64 words.
-    """
-    if not rings:
-        raise ValueError("no rings to intersect")
-    bank = grid.bank
-    lats = [r.lat for r in rings]
-    lons = [r.lon for r in rings]
-    inner = [r.inner_km for r in rings]
-    outer = [r.outer_km for r in rings]
-    return Region.from_words(
-        grid, bank.ring_intersection(lats, lons, inner, outer))
-
-
 def mode_region_from_votes(grid: Grid, votes: np.ndarray,
                            base_mask: Optional[np.ndarray] = None) -> Region:
-    """Cells holding the maximum vote count (see :func:`mode_region`).
+    """Cells holding the maximum vote count.
+
+    Octant's original multilateration is weight-based: each ring adds
+    positive weight inside itself, and the prediction is the highest-
+    weighted area.  With unit weights that is exactly "the cells covered
+    by the most rings" — identical to pure intersection when all rings
+    are mutually consistent, but degrading gracefully (instead of to the
+    empty set) when noise makes one ring miss.
 
     ``votes`` is consumed destructively (cells outside ``base_mask`` are
     zeroed in place); callers pass a freshly accumulated row.
@@ -117,24 +108,6 @@ def mode_region_from_votes(grid: Grid, votes: np.ndarray,
     if top == 0:
         return Region.empty(grid)
     return Region(grid, votes == top)
-
-
-def mode_region(grid: Grid, masks: Sequence[np.ndarray],
-                base_mask: Optional[np.ndarray] = None) -> Region:
-    """Cells satisfying the maximum number of constraints.
-
-    Octant's original multilateration is weight-based: each ring adds
-    positive weight inside itself, and the prediction is the highest-
-    weighted area.  With unit weights that is exactly "the cells covered
-    by the most rings" — identical to pure intersection when all rings
-    are mutually consistent, but degrading gracefully (instead of to the
-    empty set) when noise makes one ring miss.
-    """
-    matrix = _as_mask_matrix(masks)
-    if matrix.shape[0] == 0:
-        raise ValueError("no masks supplied")
-    votes = matrix.sum(axis=0, dtype=np.int32)
-    return mode_region_from_votes(grid, votes, base_mask)
 
 
 def _as_mask_matrix(masks) -> np.ndarray:
@@ -210,10 +183,9 @@ def _dfs_improve(rows: np.ndarray, order: List[int], best_count: int, n: int,
 SUBSET_SEARCH_BUDGET = 200_000
 
 
-def largest_consistent_subset(masks: Sequence[np.ndarray],
-                              base_mask: Optional[np.ndarray] = None
+def largest_consistent_subset(masks: Sequence[np.ndarray]
                               ) -> Tuple[List[int], np.ndarray]:
-    """The largest subset of masks whose AND (with ``base_mask``) is non-empty.
+    """The largest subset of masks whose AND is non-empty.
 
     Returns the chosen indices and the resulting intersection mask.  This
     is the paper's "depth-first search on the powerset of the disks":
@@ -238,21 +210,10 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
     """
     matrix = _as_mask_matrix(masks)
     n, n_bits = matrix.shape
-    if n == 0:
-        raise ValueError("no masks supplied")
-    if base_mask is None:
-        base_bool = np.ones(n_bits, dtype=bool)
-    else:
-        base_bool = np.asarray(base_mask)
-        if base_bool.dtype != np.bool_:
-            base_bool = base_bool.astype(bool)
     rows = pack_mask_matrix(matrix)
-    base = pack_mask_matrix(base_bool[None, :])[0]
     sizes = np.bitwise_count(rows).sum(axis=1)
 
-    everything = base.copy()
-    for row in rows:
-        everything &= row
+    everything = np.bitwise_and.reduce(rows, axis=0)
     if everything.any():
         return list(range(n)), unpack_mask_words(everything, n_bits)
 
@@ -262,7 +223,7 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
     order = sorted(range(n), key=lambda i: -int(sizes[i]))
 
     greedy_indices: List[int] = []
-    greedy_mask = base.copy()
+    greedy_mask = ~np.zeros_like(everything)
     for index in order:
         candidate = greedy_mask & rows[index]
         if candidate.any():
@@ -272,11 +233,11 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
 
     # Witness-cell certificate: every consistent family of size s shares a
     # cell covered by at least s masks, so improving on the greedy family
-    # needs a cell with more than ``best_count`` votes inside the base.
+    # needs a cell with more than ``best_count`` votes.
     votes = np.zeros(n_bits, dtype=np.uint16)
     for row_bool in matrix:
         votes += row_bool
-    witness_cols = np.flatnonzero((votes > best_count) & base_bool)
+    witness_cols = np.flatnonzero(votes > best_count)
     if witness_cols.size == 0:
         return sorted(greedy_indices), unpack_mask_words(greedy_mask, n_bits)
 
@@ -284,9 +245,7 @@ def largest_consistent_subset(masks: Sequence[np.ndarray],
                             order, best_count, n, SUBSET_SEARCH_BUDGET)
     if improved is None:
         return sorted(greedy_indices), unpack_mask_words(greedy_mask, n_bits)
-    final = base.copy()
-    for index in improved:
-        final &= rows[index]
+    final = np.bitwise_and.reduce(rows[improved], axis=0)
     return sorted(improved), unpack_mask_words(final, n_bits)
 
 

@@ -57,29 +57,16 @@ class QuasiOctant(GeolocationAlgorithm):
         ) for at, obs in enumerate(observations)]
 
     def predict(self, observations: Sequence[RttObservation]) -> Prediction:
-        observations = self._prepare(observations)
-        rings = self.rings(observations)
-        # The bank accumulates the votes ring by ring (integer addition
-        # is exact, so this equals summing the full mask matrix) without
-        # ever materialising the (k, n_cells) boolean matrix.
-        votes = self.grid.bank.ring_votes(
-            [r.lat for r in rings], [r.lon for r in rings],
-            [r.inner_km for r in rings], [r.outer_km for r in rings])
-        region = mode_region_from_votes(
-            self.grid, votes, base_mask=self.worldmap.plausibility_mask)
-        return Prediction(
-            algorithm=self.name,
-            region=self._clip(region),
-            used_landmarks=[obs.landmark_name for obs in observations],
-        )
+        return self.predict_fleet([observations])[0]
 
     def predict_fleet(self, fleets: Sequence[Sequence[RttObservation]]
                       ) -> List[Prediction]:
         """Ring votes for every server of a fleet in one bank sweep.
 
-        Bit-identical to the per-server loop: vote counts are exact
-        integer sums, and padded slots carry ``+inf`` rings that cover
-        no cell.
+        The bank accumulates each server's votes ring by ring (integer
+        addition is exact, so this equals summing its full mask matrix)
+        without materialising the ``(k, n_cells)`` boolean matrix;
+        padded slots carry ``+inf`` rings that cover no cell.
         """
         prepared = [self._prepare(panel) for panel in fleets]
         if not prepared:

@@ -144,8 +144,8 @@ class ProxyMeasurer:
     (noise on short paths) are clamped to a floor rather than discarded —
     a zero-ish delay is itself informative.
 
-    Lost probes (NaN samples under fault injection) are retried per
-    ``retry_policy``; landmarks that keep absorbing probes are
+    Lost probes (NaN samples under fault injection) are retried per the
+    default :class:`RetryPolicy`; landmarks that keep absorbing probes are
     quarantined for the rest of this target's audit via ``health``.
     """
 
@@ -160,14 +160,13 @@ class ProxyMeasurer:
     CLIENT_LEG_SAFETY = 0.95
 
     def __init__(self, network: Network, client: Host, proxy: ProxyServer,
-                 eta: float = DEFAULT_ETA, seed: int = 0,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 eta: float = DEFAULT_ETA, seed: int = 0):
         if not (0.0 < eta < 1.0):
             raise ValueError(f"eta must be in (0, 1): {eta!r}")
         self.tunnel = ProxiedClient(network, client, proxy, seed=seed)
         self.proxy = proxy
         self.eta = eta
-        self.retry = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry = RetryPolicy()
         self.health = LandmarkHealthTracker()
         self.elapsed_ms = 0.0
         self._rng = np.random.default_rng(seed + 1)

@@ -5,9 +5,11 @@ great-circle distance from some landmark to every cell of the analysis
 grid.  The bank stores those distance fields as rows of one contiguous
 ``(n_points, n_cells)`` float32 matrix, so that
 
-* a whole constraint set becomes a single broadcasted comparison
-  (``fields <= radii[:, None]``) instead of a Python loop of per-landmark
-  mask calls,
+* a whole constraint family — one panel's disks or rings, or a fleet
+  of panels — is settled by one mask kernel per constraint shape
+  (:meth:`DistanceBank.disk_intersections_fleet`,
+  :meth:`DistanceBank.ring_votes_fleet`) vectorised over landmark slots
+  and servers, instead of a Python loop of per-landmark mask calls,
 * missing fields are filled separably: the haversine terms are computed
   once per grid row and once per grid column, then combined per cell
   with the same float64 operations :func:`haversine_km_vec` applies, so
@@ -289,88 +291,21 @@ class DistanceBank:
             sanitize.check_distance_fields(cached, "DistanceBank.field_block")
         return cached
 
-    # -- batched mask kernels ------------------------------------------------
-
-    def disk_intersections(self, lats: Sequence[float], lons: Sequence[float],
-                           radii_families: Sequence[Sequence[float]]
-                           ) -> np.ndarray:
-        """AND of per-landmark disks, for one or more radius families.
-
-        ``radii_families`` is an ``(m, k)`` matrix: each row gives one
-        radius per landmark, and result row ``f`` packs the mask
-        ``AND_i (distance_i <= radii_families[f, i])`` over all cells
-        into uint64 bitset words (``(m, n_words)``, padding bits zero),
-        ready for zero-copy adoption by :meth:`Region.from_words`.
-        The families share one pass over the coarse block aggregates —
-        whole blocks strictly inside (or outside) every disk are settled
-        without touching cell-level data, and only cells of blocks crossed
-        by some disk boundary are compared exactly.  Results are
-        bit-identical to the naive broadcasted comparison.
-        """
-        radii = np.asarray(radii_families, dtype=np.float32)
-        if radii.ndim == 1:
-            radii = radii[None, :]
-        if (radii < 0).any():
-            raise ValueError("negative disk radius")
-        n_families, n_disks = radii.shape
-        rows = self.rows(lats, lons)
-        if n_disks != len(rows):
-            raise ValueError("radii and points disagree in length")
-        n_cells = self.grid.n_cells
-        out = np.zeros((n_families, n_cells), dtype=bool)
-        if not self._block_side:
-            # Grid indivisible into blocks: plain full-width evaluation.
-            block = self.field_block(lats, lons)
-            for f in range(n_families):
-                acc = block[0] <= radii[f, 0]
-                for i in range(1, n_disks):
-                    acc &= block[i] <= radii[f, i]
-                out[f] = acc
-            return pack_bits(out)
-        side = self._block_side
-        block_max = self._block_max[rows]          # (k, n_blocks) — small
-        block_min = self._block_min[rows]
-        shape4 = (self.grid.n_lat // side, 1, self.grid.n_lon // side, 1)
-        for f in range(n_families):
-            family_radii = radii[f][:, None]
-            inside = (block_max <= family_radii).all(axis=0)
-            maybe = (block_min <= family_radii).all(axis=0)
-            out[f].reshape(self.grid.n_lat // side, side,
-                           self.grid.n_lon // side, side)[:] = \
-                inside.reshape(shape4)
-            edge_blocks = np.flatnonzero(maybe & ~inside)
-            if not edge_blocks.size:
-                continue
-            # Disks covering every edge block entirely cannot change the
-            # verdict; only disks whose boundary crosses one of them can.
-            uncertain = np.flatnonzero(
-                (block_max[:, edge_blocks] > family_radii).any(axis=1))
-            cells = self._cells_of_blocks(edge_blocks)
-            verdict = np.ones(cells.size, dtype=bool)
-            for i in uncertain:
-                verdict &= self._fields[rows[i]][cells] <= radii[f, i]
-            out[f][cells] = verdict
-        return pack_bits(out)
-
-    # -- fleet-level kernels -------------------------------------------------
+    # -- mask kernels --------------------------------------------------------
     #
-    # The per-server kernels above answer "one target, k landmarks"; a
-    # fleet audit asks the same question for hundreds of targets whose
-    # landmark panels heavily overlap.  The fleet front ends take padded
-    # ``(n_servers, k)`` matrices of *bank row indices* (resolve them
-    # with :meth:`rows` immediately beforehand — eviction renumbers rows)
-    # plus per-server radii, and sweep the whole fleet through the block
-    # aggregates in chunks of servers.  Padding slots carry ``+inf``
-    # radii (disks) or ``+inf`` rings, which constrain nothing, so ragged
-    # panels need no masking logic.  Results are bit-identical, server
-    # for server, to the per-server kernels: both settle whole blocks
-    # from the same aggregates and compare the same float32 fields
-    # against the same float32 radii on edge cells.
+    # One kernel per constraint shape, written for a fleet: hundreds of
+    # targets whose landmark panels heavily overlap, or a fleet of one.
+    # The kernels take padded ``(n_servers, k)`` matrices of *bank row
+    # indices* (resolve them with :meth:`rows` immediately beforehand —
+    # eviction renumbers rows) plus per-server radii, and sweep the
+    # servers through the block aggregates in chunks.  Padding slots
+    # carry ``+inf`` radii (disks) or ``+inf`` rings, which constrain
+    # nothing, so ragged panels need no masking logic.
 
-    #: Servers per fleet-kernel sweep: bounds scratch memory at
-    #: ~(chunk × k × n_blocks) floats regardless of fleet size, which is
-    #: what keeps the 1k-server marginal cost flat.
-    FLEET_CHUNK = 64
+    #: Servers per kernel sweep: bounds the ``(chunk, k, n_blocks)``
+    #: aggregate gather regardless of fleet size, which keeps the
+    #: 1k-server marginal cost flat.
+    FLEET_CHUNK = 32
 
     #: (server, edge-block) pairs refined per gather; bounds the exact
     #: edge-cell scratch at ~(pairs × k × block cells) float32.
@@ -393,8 +328,14 @@ class DistanceBank:
         is ``(m, n_servers, k)`` float32 (``(n_servers, k)`` is promoted to
         one family).  Result ``[f, s]`` packs the AND over slot ``i`` of
         ``distance(rows[s, i]) <= radii_families[f, s, i]`` into uint64
-        words (``(m, n_servers, n_words)``) — exactly what
-        :meth:`disk_intersections` returns for server ``s`` alone.
+        words (``(m, n_servers, n_words)``, padding bits zero), ready for
+        zero-copy adoption by :meth:`Region.from_words`.
+
+        Whole blocks strictly inside (or outside) every disk are settled
+        from the coarse block aggregates, and only cells of blocks
+        crossed by some disk boundary are compared exactly, so the
+        result is bit-identical to the naive broadcasted comparison
+        ``(fields <= radii[:, None]).all(0)``.
         """
         rows = self._validate_fleet_rows(rows)
         radii = np.asarray(radii_families, dtype=np.float32)
@@ -415,33 +356,32 @@ class DistanceBank:
             stop = min(start + self.FLEET_CHUNK, n_servers)
             span = stop - start
             chunk_rows = rows[start:stop]
+            chunk_radii = radii[:, start:stop]                # (m, span, k)
             scratch = np.empty((span, n_cells), dtype=bool)
             if not side:
                 # Grid indivisible into blocks: full-width evaluation,
                 # slot by slot, vectorised over the server chunk.
-                fields = self._fields
                 for f in range(m):
                     scratch[:] = True
                     for i in range(k):
-                        scratch &= (fields[chunk_rows[:, i]]
-                                    <= radii[f, start:stop, i, None])
+                        scratch &= (self._fields[chunk_rows[:, i]]
+                                    <= chunk_radii[f, :, i, None])
                     out[f, start:stop] = pack_bits(scratch)
                 continue
             n_blat = self.grid.n_lat // side
             n_blon = self.grid.n_lon // side
+            block_max = self._block_max[chunk_rows]       # (span, k, n_blocks)
+            block_min = self._block_min[chunk_rows]
             for f in range(m):
-                # Slot-major accumulation keeps the working set at one
-                # (span, n_blocks) plane per operand instead of gathering
-                # a (span, k, n_blocks) cube — ANDs commute, so the
-                # verdicts are bit-identical either way.
-                inside = np.ones((span, self._n_blocks), dtype=bool)
-                maybe = np.ones((span, self._n_blocks), dtype=bool)
-                for i in range(k):
-                    slot_radii = radii[f, start:stop, i, None]  # (span, 1)
-                    inside &= self._block_max[chunk_rows[:, i]] <= slot_radii
-                    maybe &= self._block_min[chunk_rows[:, i]] <= slot_radii
-                scratch.reshape(span, n_blat, side, n_blon, side)[:] = \
-                    inside.reshape(span, n_blat, 1, n_blon, 1)
+                slot_radii = chunk_radii[f, :, :, None]       # (span, k, 1)
+                inside = (block_max <= slot_radii).all(axis=1)
+                maybe = (block_min <= slot_radii).all(axis=1)
+                # Blocks to cells: widen each block row to a cell row,
+                # then copy it down the block's ``side`` cell rows.
+                inside_rows = np.repeat(
+                    inside.reshape(span, n_blat, n_blon), side, axis=2)
+                scratch.reshape(span, n_blat, side, self.grid.n_lon)[:] = \
+                    inside_rows[:, :, None, :]
                 # Edge blocks, refined exactly — vectorised over every
                 # (server, block) pair at once.  Only *uncertain* disks
                 # are gathered: a slot with ``block_max <= r`` passes
@@ -456,17 +396,13 @@ class DistanceBank:
                     blocks = pair_block[p0:p1]
                     cells = self._cells_of_blocks(blocks).reshape(
                         p1 - p0, -1)
-                    unc = np.empty((srv.size, k), dtype=bool)
-                    for i in range(k):
-                        unc[:, i] = (self._block_max[chunk_rows[srv, i],
-                                                     blocks]
-                                     > radii[f, start + srv, i])
+                    pair_radii = chunk_radii[f, srv]          # (pairs, k)
+                    unc = block_max[srv, :, blocks] > pair_radii
                     pair_idx, slot_idx = np.nonzero(unc)  # grouped by pair
                     values = self._fields[
                         chunk_rows[srv[pair_idx], slot_idx][:, None],
                         cells[pair_idx]]
-                    ok = values <= radii[f, start + srv[pair_idx],
-                                         slot_idx][:, None]
+                    ok = values <= pair_radii[pair_idx, slot_idx][:, None]
                     counts = unc.sum(axis=1)  # >= 1: the block is ~inside
                     starts = np.concatenate(
                         ([0], np.cumsum(counts[:-1])))
@@ -480,10 +416,12 @@ class DistanceBank:
         """Per-cell annulus vote counts for every server of a fleet.
 
         ``rows``/``inner``/``outer`` are padded ``(n_servers, k)``
-        matrices; result row ``s`` equals :meth:`ring_votes` for server
-        ``s``'s panel (integer addition is exact, so the slot-major
-        accumulation order cannot change a count).  Padding slots use
-        ``+inf`` rings, which cover no cell and add no vote.
+        matrices; result row ``s`` counts, per cell, the slots ``i`` with
+        ``inner[s, i] <= distance(rows[s, i]) <= outer[s, i]``
+        (Octant's unit-weight votes).  Integer addition is exact, so the
+        slot-by-slot accumulation equals summing the ``(k, n_cells)``
+        matrix of annulus masks, which is never materialised.  Padding
+        slots use ``+inf`` rings, which cover no cell and add no vote.
         """
         rows = self._validate_fleet_rows(rows)
         inner = np.asarray(inner, dtype=np.float32)
@@ -506,56 +444,6 @@ class DistanceBank:
                                  out=covered)
                 covered &= fields <= outer[start:stop, i, None]
                 votes[start:stop] += covered
-        return votes
-
-    def ring_intersection(self, lats: Sequence[float], lons: Sequence[float],
-                          inner: Sequence[float], outer: Sequence[float]
-                          ) -> np.ndarray:
-        """Fused AND of every per-landmark annulus, as uint64 bitset words.
-
-        AND-reduced ring by ring with two reused scratch rows, so the
-        ``(k, n_cells)`` boolean matrix of annulus masks is never
-        materialised.  AND is associative, so the result is bit-identical
-        to reducing that matrix.
-        """
-        inner = np.asarray(inner, dtype=np.float32)
-        outer = np.asarray(outer, dtype=np.float32)
-        if (inner < 0).any() or (outer < inner).any():
-            raise ValueError("bad ring radii")
-        block = self.field_block(lats, lons)
-        acc = (block[0] >= inner[0]) & (block[0] <= outer[0])
-        lower = np.empty_like(acc)
-        upper = np.empty_like(acc)
-        for i in range(1, block.shape[0]):
-            np.greater_equal(block[i], inner[i], out=lower)
-            np.less_equal(block[i], outer[i], out=upper)
-            lower &= upper
-            acc &= lower
-        return pack_bits(acc)
-
-    def ring_votes(self, lats: Sequence[float], lons: Sequence[float],
-                   inner: Sequence[float], outer: Sequence[float]
-                   ) -> np.ndarray:
-        """Per-cell count of covering annuli (Octant's unit-weight votes).
-
-        Integer addition is exact, so accumulating one ring at a time
-        into a single int32 row equals summing the ``(k, n_cells)``
-        matrix of annulus masks, at the footprint of one boolean scratch
-        row.
-        """
-        inner = np.asarray(inner, dtype=np.float32)
-        outer = np.asarray(outer, dtype=np.float32)
-        if (inner < 0).any() or (outer < inner).any():
-            raise ValueError("bad ring radii")
-        block = self.field_block(lats, lons)
-        votes = np.zeros(block.shape[1], dtype=np.int32)
-        lower = np.empty(block.shape[1], dtype=bool)
-        upper = np.empty(block.shape[1], dtype=bool)
-        for i in range(block.shape[0]):
-            np.greater_equal(block[i], inner[i], out=lower)
-            np.less_equal(block[i], outer[i], out=upper)
-            lower &= upper
-            votes += lower
         return votes
 
     def gaussian_log_likelihood(self, lats: Sequence[float],

@@ -16,8 +16,8 @@ The concurrency story is deliberately simple and bounded:
   (``queue_max``); when it is full the request is immediately *shed* as
   a degraded verdict instead of queueing without bound — overload
   degrades answers, never latency;
-* a single drainer task pulls whatever has accumulated (up to
-  ``batch_max``, by default the service's) and evaluates it as **one**
+* a single drainer task pulls whatever has accumulated (up to the
+  service's ``batch_max``) and evaluates it as **one**
   ``verdict_batch`` call — concurrently-arriving uncached queries
   coalesce into single ``predict_fleet`` sweeps for free.
 
@@ -107,17 +107,12 @@ class FrontendStats:
 class ServiceFrontend:
     """Bounded-queue micro-batching front end for a `VerdictService`."""
 
-    def __init__(self, service: VerdictService, queue_max: int = 256,
-                 batch_max: Optional[int] = None) -> None:
-        if batch_max is None:
-            batch_max = service.batch_max
-        for name, size in (("queue_max", queue_max),
-                           ("batch_max", batch_max)):
-            if size < 1:
-                raise ValueError(f"{name} must be >= 1, got {size!r}")
+    def __init__(self, service: VerdictService,
+                 queue_max: int = 256) -> None:
+        if queue_max < 1:
+            raise ValueError(f"queue_max must be >= 1, got {queue_max!r}")
         self.service = service
         self.queue_max = queue_max
-        self.batch_max = batch_max
         self.stats = FrontendStats()
         self._queue: Optional[asyncio.Queue] = None
         self._drainer: Optional[asyncio.Task] = None
@@ -158,7 +153,7 @@ class ServiceFrontend:
         assert self._queue is not None
         while True:
             batch = [await self._queue.get()]
-            while len(batch) < self.batch_max:
+            while len(batch) < self.service.batch_max:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:

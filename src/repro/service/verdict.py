@@ -5,9 +5,10 @@ credible?" out of two bounded caches layered over the fleet audit
 machinery:
 
 * a **measurement cache** keyed ``(host_id, epoch_digest)`` holding the
-  packed multilateration region (plus the landmark names the
+  measurement kernel's :class:`ServerPayload` without its observations:
+  the packed multilateration region plus the landmark names the
   measurement *requested* — the dependency set epoch rolls invalidate
-  by); and
+  by; and
 * a verdict cache keyed ``(host_id, epoch_digest, claim)`` holding the
   finished assessment, so re-asking about a different country for an
   already-measured host costs one region/country intersection, not a
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
@@ -63,26 +64,10 @@ Query = Union[Target, Tuple[Target, Optional[str]]]
 
 
 @dataclass(frozen=True)
-class _Measurement:
-    """The measurement half of a verdict, cached per (host, epoch)."""
-
-    region_bytes: bytes
-    deduced_continent: str
-    #: Phase-2 landmark names the prediction actually used.
-    used_landmarks: Tuple[str, ...]
-    #: Every landmark name the driver *asked* to probe — the dependency
-    #: set: a quarantine delta disjoint from it cannot have changed this
-    #: measurement.
-    requested_landmarks: FrozenSet[str]
-    degraded: bool
-    notes: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CachedVerdict:
     """One finished claim assessment plus the measurement behind it."""
 
-    measurement: _Measurement
+    measurement: ServerPayload
     verdict: str
     continent_verdict: str
     countries: Tuple[str, ...]
@@ -200,7 +185,7 @@ class VerdictService:
             scenario, seed, self._profile_name, self._quarantined)
         self.verdict_cache: "LruCache[Tuple[int, str, str], CachedVerdict]" \
             = LruCache(maxsize=cache_slots)
-        self._measurements: "LruCache[Tuple[int, str], _Measurement]" = \
+        self._measurements: "LruCache[Tuple[int, str], ServerPayload]" = \
             LruCache(maxsize=cache_slots)
 
     # -- query API ------------------------------------------------------------
@@ -250,11 +235,7 @@ class VerdictService:
         if missing:
             # Answer from the fresh measurements themselves: the cache
             # may already have evicted the batch's first ones.
-            measured = {host_id: _measurement_from(payload)
-                        for host_id, payload
-                        in self._evaluate(unmeasured).items()}
-            for host_id, measurement in measured.items():
-                self._measurements.put((host_id, digest), measurement)
+            measured = self._measure(unmeasured)
             for at in missing:
                 server, claim = normalized[at]
                 responses[at] = self._resolve(
@@ -262,12 +243,17 @@ class VerdictService:
         return [response for response in responses if response is not None]
 
     def region_of(self, target: Target) -> Region:
-        """The multilateration region for a target (measured if needed)."""
+        """The multilateration region for a target (measured if needed).
+
+        Read from the measurement cache, not through a verdict: the two
+        caches age independently, so a cached verdict does not imply a
+        cached measurement.
+        """
         server = self.resolve_target(target)
-        self.verdict(server)
-        measurement = self._measurements.peek(
-            (server.host.host_id, self.epoch.digest))
-        assert measurement is not None
+        host_id = server.host.host_id
+        measurement = self._measurements.get((host_id, self.epoch.digest))
+        if measurement is None:
+            measurement = self._measure({host_id: server})[host_id]
         return Region.from_packbits(self.algorithm.grid,
                                     measurement.region_bytes)
 
@@ -305,8 +291,8 @@ class VerdictService:
             self._measurements.pop((host_id, digest))
             if digest != old.digest:
                 continue  # a leftover from an even older epoch: dead
-            if delta is not None and not (measurement.requested_landmarks
-                                          & delta):
+            if delta is not None and delta.isdisjoint(
+                    measurement.requested_landmarks):
                 self._measurements.put((host_id, new.digest), measurement)
                 stats.carried_forward += 1
             else:
@@ -318,8 +304,8 @@ class VerdictService:
             self.verdict_cache.pop((host_id, digest, claim))
             if digest != old.digest:
                 continue
-            if delta is not None and not (
-                    entry.measurement.requested_landmarks & delta):
+            if delta is not None and delta.isdisjoint(
+                    entry.measurement.requested_landmarks):
                 self.verdict_cache.put((host_id, new.digest, claim), entry)
             else:
                 flushed_claims.append((host_id, claim))
@@ -338,7 +324,7 @@ class VerdictService:
             for host_id in sorted(payloads):
                 payload = payloads[host_id]
                 self._measurements.put((host_id, new.digest),
-                                       _measurement_from(payload))
+                                       _cached(payload))
                 stats.reevaluated += 1
                 stats.reevaluated_hosts.append(host_id)
                 if sink is not None:
@@ -399,7 +385,7 @@ class VerdictService:
         raise TypeError(f"cannot resolve query target {target!r}")
 
     def _resolve(self, server: ProxyServer, claim: str,
-                 measurement: _Measurement) -> VerdictResponse:
+                 measurement: ServerPayload) -> VerdictResponse:
         """Assess a cached measurement against a claim, filling caches."""
         key = (server.host.host_id, self.epoch.digest, claim)
         entry = self.verdict_cache.peek(key)
@@ -409,7 +395,7 @@ class VerdictService:
         return self._response(server, claim, entry, cached=False)
 
     def _assess(self, claim: str,
-                measurement: _Measurement) -> CachedVerdict:
+                measurement: ServerPayload) -> CachedVerdict:
         region = Region.from_packbits(self.algorithm.grid,
                                       measurement.region_bytes)
         assessment = assess_claim(region, claim, self.scenario.worldmap)
@@ -439,6 +425,15 @@ class VerdictService:
             region_sha256=hashlib.sha256(
                 measurement.region_bytes).hexdigest(),
             cached=cached)
+
+    def _measure(self, targets: Dict[int, ProxyServer]
+                 ) -> Dict[int, ServerPayload]:
+        """Measure targets and cache their payloads at this epoch."""
+        measured = {host_id: _cached(payload) for host_id, payload
+                    in self._evaluate(targets).items()}
+        for host_id, measurement in measured.items():
+            self._measurements.put((host_id, self.epoch.digest), measurement)
+        return measured
 
     def _evaluate(self, targets: Dict[int, ProxyServer],
                   assess: bool = False) -> Dict[int, ServerPayload]:
@@ -471,11 +466,7 @@ class VerdictService:
         return out
 
 
-def _measurement_from(payload: ServerPayload) -> _Measurement:
-    return _Measurement(
-        region_bytes=payload.region_bytes,
-        deduced_continent=payload.deduced_continent,
-        used_landmarks=payload.used_landmarks,
-        requested_landmarks=frozenset(payload.requested_landmarks),
-        degraded=payload.degraded,
-        notes=payload.notes)
+def _cached(payload: ServerPayload) -> ServerPayload:
+    """A payload as the measurement cache keeps it: without the
+    observations and an audit's index and assessment."""
+    return replace(payload, observations=(), index=-1, assessment=None)

@@ -15,7 +15,10 @@ faster way, kept here so tests can pin the fast form bit for bit:
   its ``engine`` attribute;
 * the ``bool_*`` functions — the boolean-mask formulas of the
   ``Region`` and ``WorldMap`` queries and of the largest-consistent-
-  subset search, which now run on packed words.
+  subset search, which now run on packed words;
+* the ``naive_*`` functions — the plain broadcast formulas of the
+  bank's two mask kernels, which settle whole blocks from coarse
+  aggregates and sweep a fleet of panels at once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.core.multilateration import SUBSET_SEARCH_BUDGET
 from repro.core.twophase import TwoPhaseDriver, TwoPhaseSelector
 from repro.experiments.audit import AuditResult
 from repro.geo.grid import Grid
-from repro.geo.region import Region, unpack_bits
+from repro.geo.region import Region, pack_bits, unpack_bits
 from repro.geo.worldmap import OCEAN, WorldMap
 from repro.geodesy.greatcircle import haversine_km_vec
 from repro.netsim.faults import (FaultInjector, MeasurementFailed,
@@ -272,25 +275,22 @@ def bool_distance_to_country_km(worldmap: WorldMap, mask: np.ndarray,
 
 # -- the boolean subset search ------------------------------------------------
 
-def bool_largest_consistent_subset(masks, base_mask: Optional[np.ndarray]
-                                   = None) -> Tuple[List[int], np.ndarray]:
+def bool_largest_consistent_subset(masks) -> Tuple[List[int], np.ndarray]:
     """The subset search on plain boolean rows: the same greedy
     incumbent, witness-cell certificate and budgeted branch-and-bound."""
     matrix = np.atleast_2d(np.asarray(masks, dtype=bool))
     n, n_bits = matrix.shape
-    base = (np.ones(n_bits, dtype=bool) if base_mask is None
-            else np.asarray(base_mask, dtype=bool))
-    everything = base & matrix.all(axis=0)
+    everything = matrix.all(axis=0)
     if everything.any():
         return list(range(n)), everything
     order = sorted(range(n), key=lambda i: -int(matrix[i].sum()))
     greedy: List[int] = []
-    greedy_mask = base.copy()
+    greedy_mask = np.ones(n_bits, dtype=bool)
     for index in order:
         if (greedy_mask & matrix[index]).any():
             greedy_mask &= matrix[index]
             greedy.append(index)
-    witness = (matrix.sum(axis=0) > len(greedy)) & base
+    witness = matrix.sum(axis=0) > len(greedy)
     if not witness.any():
         return sorted(greedy), greedy_mask
     rows = matrix[:, witness]
@@ -314,4 +314,25 @@ def bool_largest_consistent_subset(masks, base_mask: Optional[np.ndarray]
     descend(0, np.ones(rows.shape[1], dtype=bool), [])
     if best[1] is None:
         return sorted(greedy), greedy_mask
-    return sorted(best[1]), base & matrix[best[1]].all(axis=0)
+    return sorted(best[1]), matrix[best[1]].all(axis=0)
+
+
+# -- the bank's mask kernels ---------------------------------------------------
+
+def naive_disk_intersections(fields: np.ndarray,
+                             radii_families: np.ndarray) -> np.ndarray:
+    """One panel's disk ANDs: ``(fields <= radii[:, None]).all(0)`` per
+    radius family, packed — ``(m, n_words)`` for ``(k, n_cells)`` float32
+    fields and ``(m, k)`` radii."""
+    radii = np.asarray(radii_families, dtype=np.float32)
+    return pack_bits(np.stack([(fields <= family[:, None]).all(axis=0)
+                               for family in radii]))
+
+
+def naive_ring_votes(fields: np.ndarray, inner: np.ndarray,
+                     outer: np.ndarray) -> np.ndarray:
+    """One panel's per-cell annulus votes: the sum of the ``(k, n_cells)``
+    annulus masks ``inner <= field <= outer``."""
+    inner = np.asarray(inner, dtype=np.float32)[:, None]
+    outer = np.asarray(outer, dtype=np.float32)[:, None]
+    return ((fields >= inner) & (fields <= outer)).sum(axis=0)

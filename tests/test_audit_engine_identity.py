@@ -211,9 +211,9 @@ class TestFleetPanelContract:
             np.full(3, 1500.0, dtype=np.float32),
             np.full(1, 1500.0, dtype=np.float32)])
         fleet = bank.disk_intersections_fleet(panel.rows, radii[None])[0]
-        solo = bank.disk_intersections(
-            [landmarks[0].lat], [landmarks[0].lon],
-            np.full((1, 1), 1500.0, dtype=np.float32))[0]
+        solo = bank.disk_intersections_fleet(
+            bank.rows([landmarks[0].lat], [landmarks[0].lon])[None],
+            np.full((1, 1), 1500.0, dtype=np.float32))[0, 0]
         assert np.array_equal(fleet[1], solo)
         # 1 disk covers more cells
         assert np.bitwise_count(fleet[1]).sum() > \

@@ -6,13 +6,11 @@ import pytest
 from repro.core import (
     DiskConstraint,
     GaussianRing,
-    RingConstraint,
     bayesian_region,
     intersect_disks,
-    intersect_rings,
     largest_consistent_subset,
-    mode_region,
 )
+from repro.core.multilateration import mode_region_from_votes
 from repro.geo import Grid
 
 
@@ -23,6 +21,10 @@ def grid():
 
 def disk(grid, lat, lon, radius):
     return grid.disk_mask(lat, lon, radius)
+
+
+def votes_of(masks):
+    return np.sum(masks, axis=0, dtype=np.int32)
 
 
 class TestIntersectDisks:
@@ -57,45 +59,25 @@ class TestIntersectDisks:
             intersect_disks(grid, [])
 
 
-class TestIntersectRings:
-    def test_annulus_intersection(self, grid):
-        constraints = [
-            RingConstraint("a", 0.0, 0.0, 500.0, 3000.0),
-            RingConstraint("b", 0.0, 20.0, 500.0, 3000.0),
-        ]
-        region = intersect_rings(grid, constraints)
-        assert not region.is_empty
-        # The shared center band around lon 10 should be covered.
-        assert region.contains(0.0, 10.0)
-
-    def test_requires_rings(self, grid):
-        with pytest.raises(ValueError):
-            intersect_rings(grid, [])
-
-
 class TestModeRegion:
     def test_equals_intersection_when_consistent(self, grid):
         masks = [disk(grid, 0, 0, 3000), disk(grid, 0, 10, 3000)]
-        region = mode_region(grid, masks)
+        region = mode_region_from_votes(grid, votes_of(masks))
         expected = masks[0] & masks[1]
         assert np.array_equal(region.mask, expected)
 
     def test_majority_wins_when_inconsistent(self, grid):
         masks = [disk(grid, 0, 0, 1500), disk(grid, 0, 5, 1500),
                  disk(grid, 0, 90, 500)]  # the third is off on its own
-        region = mode_region(grid, masks)
+        region = mode_region_from_votes(grid, votes_of(masks))
         assert region.contains(0.0, 2.5)
         assert not region.contains(0.0, 90.0)
 
     def test_base_mask_restricts_votes(self, grid):
         masks = [disk(grid, 0, 0, 2000)]
         base = grid.latitude_band_mask(-90.0, -50.0)  # far away from the disk
-        region = mode_region(grid, masks, base_mask=base)
+        region = mode_region_from_votes(grid, votes_of(masks), base_mask=base)
         assert region.is_empty
-
-    def test_requires_masks(self, grid):
-        with pytest.raises(ValueError):
-            mode_region(grid, [])
 
 
 class TestLargestConsistentSubset:
@@ -126,12 +108,6 @@ class TestLargestConsistentSubset:
         chosen, mask = largest_consistent_subset(masks)
         assert len(chosen) == 1
         assert mask.any()
-
-    def test_base_mask_enforced(self, grid):
-        masks = [disk(grid, 0, 0, 3000), disk(grid, 2, 2, 3000)]
-        base = grid.disk_mask(0.0, 0.0, 1.0)  # a single cell
-        chosen, mask = largest_consistent_subset(masks, base_mask=base)
-        assert not (mask & ~base).any()
 
     def test_requires_masks(self):
         with pytest.raises(ValueError):

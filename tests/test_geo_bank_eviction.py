@@ -5,7 +5,7 @@ gathering) the coarse block aggregates.  These tests drive the bank past
 its ``max_points`` bound with random point streams and check that the
 survivors' state is indistinguishable from a bank that never evicted:
 fields, block min/max aggregates, the row memo, and the block-pruned
-disk-intersection kernel against the naive broadcasted mask.
+disk kernel against the naive broadcasted mask.
 """
 
 import numpy as np
@@ -95,7 +95,8 @@ class TestEvictionConsistency:
         lats = [p[0] for p in panel]
         lons = [p[1] for p in panel]
         families = rng.uniform(200.0, 12000.0, size=(3, len(panel)))
-        pruned = bank.disk_intersections(lats, lons, families)
+        pruned = bank.disk_intersections_fleet(
+            bank.rows(lats, lons)[None], families[:, None])[:, 0]
         fields = np.stack([
             haversine_km_vec(lat, lon, grid.cell_lats,
                              grid.cell_lons).astype(np.float32)

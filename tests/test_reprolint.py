@@ -177,22 +177,22 @@ class TestR005PayloadFields:
         assert rules_hit(_BAD_PAYLOAD, "core/foo.py") == []
 
 
-# -- R007: scalar bank kernels inside loops on fleet hot paths ----------------
+# -- R007: per-panel bank access inside loops on fleet hot paths --------------
 
 class TestR007PerPanelBankLoop:
     def test_loop_over_scalar_kernel_flagged(self):
         source = ("def sweep(bank, panels):\n"
                   "    out = []\n"
                   "    for lats, lons, radii in panels:\n"
-                  "        out.append(bank.disk_intersections(\n"
-                  "            lats, lons, radii, packed=True))\n"
+                  "        out.append(bank.field_block(\n"
+                  "            lats, lons) <= radii[:, None])\n"
                   "    return out\n")
         assert rules_hit(source, "core/cbgpp.py") == ["R007"]
 
-    def test_comprehension_over_ring_votes_flagged(self):
+    def test_comprehension_over_field_block_flagged(self):
         source = ("def sweep(bank, panels):\n"
-                  "    return [bank.ring_votes(p.lats, p.lons, p.inner,\n"
-                  "                            p.outer) for p in panels]\n")
+                  "    return [bank.field_block(p.lats, p.lons).sum(0)\n"
+                  "            for p in panels]\n")
         assert rules_hit(source, "core/octant.py") == ["R007"]
 
     def test_while_loop_field_block_flagged(self):

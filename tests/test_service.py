@@ -222,6 +222,22 @@ class TestVerdictDeterminism:
         sha = hashlib.sha256(region.packed_bytes()).hexdigest()
         assert sha == service.verdict(fleet[0]).region_sha256
 
+    def test_region_of_remeasures_an_evicted_measurement(self, scenario):
+        """The two caches age independently: a verdict-cache hit does not
+        refresh the host's measurement, so ``a``'s verdict outlives its
+        measurement here, and ``region_of`` must measure it again."""
+        a, b, c = scenario.all_servers()[:3]
+        small = VerdictService(scenario, seed=0, cache_slots=2)
+        for host in (a, b, a, c):
+            small.verdict(host)
+        digest = small.epoch.digest
+        assert small.verdict_cache.peek(
+            (a.host.host_id, digest, a.claimed_country)) is not None
+        assert small._measurements.peek((a.host.host_id, digest)) is None
+        fresh = VerdictService(scenario, seed=0)
+        assert (small.region_of(a).packed_bytes()
+                == fresh.region_of(a).packed_bytes())
+
     def test_unknown_targets_rejected(self, service):
         with pytest.raises(KeyError):
             service.verdict("no-such-host.example")
@@ -318,15 +334,13 @@ class TestServiceKnobs:
         assert service.workers == 1
         frontend = ServiceFrontend(service)
         assert frontend.queue_max == 256
-        assert frontend.batch_max == service.batch_max
 
     def test_invalid_override_rejected(self, scenario, service):
         for size in ("cache_slots", "batch_max", "workers"):
             with pytest.raises(ValueError, match=size):
                 VerdictService(scenario, seed=0, **{size: 0})
-        for size in ("queue_max", "batch_max"):
-            with pytest.raises(ValueError, match=size):
-                ServiceFrontend(service, **{size: 0})
+        with pytest.raises(ValueError, match="queue_max"):
+            ServiceFrontend(service, queue_max=0)
 
 
 # -- the asyncio frontend -----------------------------------------------------
@@ -334,7 +348,7 @@ class TestServiceKnobs:
 class TestFrontend:
     def test_enqueue_resolves_and_batches(self, service, fleet):
         async def run():
-            frontend = ServiceFrontend(service, queue_max=8, batch_max=4)
+            frontend = ServiceFrontend(service, queue_max=8)
             try:
                 responses = await asyncio.gather(*(
                     frontend.enqueue((server, None)) for server in fleet))
@@ -353,7 +367,7 @@ class TestFrontend:
 
     def test_overload_sheds_degraded_verdicts(self, service, fleet):
         async def run():
-            frontend = ServiceFrontend(service, queue_max=1, batch_max=1)
+            frontend = ServiceFrontend(service, queue_max=1)
             frontend._ensure_started()
             frontend._drainer.cancel()  # wedge the backend: nothing drains
             first = asyncio.ensure_future(

@@ -37,13 +37,12 @@ R006      no ``sum()`` (or ``np.sum``) over ``set()`` literals/calls or
           ``dict.values()``/``dict.keys()``: float accumulation order
           over an unordered container is an ordering-dependent
           summation hazard.
-R007      no scalar bank kernel (``disk_intersections``, ``ring_votes``,
-          ``ring_masks``, ``field_block``, ``ring_intersection``) inside
-          a Python loop or comprehension in the fleet hot-path modules
+R007      no per-panel bank accessor (``field_block``) inside a Python
+          loop or comprehension in the fleet hot-path modules
           (``core/cbgpp.py``, ``core/octant.py``,
           ``core/multilateration.py``, ``experiments/audit.py``): a
           per-server/per-landmark loop over bank fields is exactly the
-          pattern the fleet front ends (``disk_intersections_fleet`` /
+          pattern the fleet kernels (``disk_intersections_fleet`` /
           ``ring_votes_fleet``) exist to replace.
 R008      no unbounded record accumulation in the streaming-path
           modules (``experiments/audit.py``, ``experiments/
@@ -467,27 +466,24 @@ class UnorderedReduction(Rule):
         return findings
 
 
-# -- R007: scalar bank kernels inside Python loops on fleet hot paths ---------
+# -- R007: per-panel bank access inside Python loops on fleet hot paths -------
 
 #: Modules on the fleet audit's hot path that must batch bank work
-#: through the ``*_fleet`` front ends rather than loop per panel.
-#: ``geo/bank.py`` itself is exempt — it is where both kernel tiers live.
+#: through the ``*_fleet`` kernels rather than loop per panel.
+#: ``geo/bank.py`` itself is exempt — it is where the kernels live.
 _FLEET_HOT_MODULES = frozenset({
     "core/cbgpp.py", "core/octant.py",
     "core/multilateration.py", "experiments/audit.py",
 })
 
-#: The bank's scalar (one panel at a time) front ends.  The ``*_fleet``
-#: variants have distinct names and are the sanctioned replacements.
-_SCALAR_BANK_KERNELS = frozenset({
-    "disk_intersections", "ring_votes", "ring_masks",
-    "field_block", "ring_intersection",
-})
+#: The bank's per-panel (one panel at a time) accessors.  The mask
+#: kernels are the ``*_fleet`` methods, the sanctioned replacements.
+_PER_PANEL_BANK_ACCESSORS = frozenset({"field_block"})
 
 
 class PerPanelBankLoop(Rule):
     id = "R007"
-    title = "scalar bank kernel inside a Python loop on a fleet hot path"
+    title = "per-panel bank accessor inside a Python loop on a fleet hot path"
 
     def applies_to(self, scope_path: str) -> bool:
         return scope_path in _FLEET_HOT_MODULES
@@ -500,12 +496,12 @@ class PerPanelBankLoop(Rule):
             for sub in ast.walk(node):
                 if (isinstance(sub, ast.Call)
                         and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in _SCALAR_BANK_KERNELS):
+                        and sub.func.attr in _PER_PANEL_BANK_ACCESSORS):
                     findings.add((
                         sub.lineno, sub.col_offset,
                         f"'.{sub.func.attr}(...)' inside a Python loop "
-                        "evaluates the bank one panel at a time; batch "
-                        "the loop through the fleet front ends "
+                        "reads the bank one panel at a time; batch "
+                        "the loop through the fleet kernels "
                         "(disk_intersections_fleet / ring_votes_fleet)"))
 
         for node in ast.walk(tree):
