@@ -302,22 +302,33 @@ class DistanceBank:
     # carry ``+inf`` radii (disks) or ``+inf`` rings, which constrain
     # nothing, so ragged panels need no masking logic.
 
-    #: Servers per kernel sweep: bounds the ``(chunk, k, n_blocks)``
-    #: aggregate gather regardless of fleet size, which keeps the
-    #: 1k-server marginal cost flat.
-    FLEET_CHUNK = 32
+    #: Servers per kernel sweep at most: bounds the ``(chunk, n_cells)``
+    #: cell scratch regardless of fleet size, which keeps the 1k-server
+    #: marginal cost flat.
+    FLEET_CHUNK = 64
+
+    #: Float32 elements per block-aggregate gather (512 KiB): the disk
+    #: kernel sweeps fewer than ``FLEET_CHUNK`` servers at a time when
+    #: their ``(chunk, k, n_blocks)`` cube of block maxima (or minima)
+    #: would exceed it.  Small cubes also stay in cache.
+    _GATHER_ELEMENTS = 1 << 17
 
     #: (server, edge-block) pairs refined per gather; bounds the exact
     #: edge-cell scratch at ~(pairs × k × block cells) float32.
     _EDGE_PAIR_CHUNK = 2048
 
-    def _validate_fleet_rows(self, rows: np.ndarray) -> np.ndarray:
+    def _validate_fleet_rows(self, rows: np.ndarray, kernel: str
+                             ) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 2:
             raise ValueError(f"fleet rows must be 2-D, got {rows.ndim}-D")
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_points):
             raise ValueError("fleet row index out of range; resolve rows "
                              "with DistanceBank.rows() first")
+        if sanitize.enabled():
+            for row in np.unique(rows):
+                sanitize.check_distance_fields(
+                    self._views[row], f"DistanceBank.{kernel}")
         return rows
 
     def disk_intersections_fleet(self, rows: np.ndarray,
@@ -337,7 +348,7 @@ class DistanceBank:
         result is bit-identical to the naive broadcasted comparison
         ``(fields <= radii[:, None]).all(0)``.
         """
-        rows = self._validate_fleet_rows(rows)
+        rows = self._validate_fleet_rows(rows, "disk_intersections_fleet")
         radii = np.asarray(radii_families, dtype=np.float32)
         if radii.ndim == 2:
             radii = radii[None]
@@ -352,8 +363,12 @@ class DistanceBank:
         if n_servers == 0 or k == 0:
             return out
         side = self._block_side
-        for start in range(0, n_servers, self.FLEET_CHUNK):
-            stop = min(start + self.FLEET_CHUNK, n_servers)
+        chunk = self.FLEET_CHUNK
+        if side:
+            chunk = max(1, min(chunk, self._GATHER_ELEMENTS
+                               // (k * self._n_blocks)))
+        for start in range(0, n_servers, chunk):
+            stop = min(start + chunk, n_servers)
             span = stop - start
             chunk_rows = rows[start:stop]
             chunk_radii = radii[:, start:stop]                # (m, span, k)
@@ -423,7 +438,7 @@ class DistanceBank:
         matrix of annulus masks, which is never materialised.  Padding
         slots use ``+inf`` rings, which cover no cell and add no vote.
         """
-        rows = self._validate_fleet_rows(rows)
+        rows = self._validate_fleet_rows(rows, "ring_votes_fleet")
         inner = np.asarray(inner, dtype=np.float32)
         outer = np.asarray(outer, dtype=np.float32)
         if inner.shape != rows.shape or outer.shape != rows.shape:

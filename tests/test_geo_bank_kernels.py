@@ -3,9 +3,11 @@
 ``DistanceBank.disk_intersections_fleet`` settles whole blocks from the
 coarse min/max aggregates and refines only boundary blocks, and both it
 and ``ring_votes_fleet`` sweep a padded fleet of ragged panels in chunks
-of ``FLEET_CHUNK`` servers.  The oracles in ``tests/oracles.py`` are the
-plain broadcast formulas on one panel at a time, over fields computed
-here with :func:`haversine_km_vec`, independently of the bank's fill.
+of at most ``FLEET_CHUNK`` servers (fewer for the disk kernel when the
+chunk's aggregate gather would exceed ``_GATHER_ELEMENTS``).  The
+oracles in ``tests/oracles.py`` are the plain broadcast formulas on one
+panel at a time, over fields computed here with
+:func:`haversine_km_vec`, independently of the bank's fill.
 """
 
 import numpy as np
@@ -27,18 +29,27 @@ GRIDS = {res: Grid(resolution_deg=res) for res in (4.0, 180 / 19)}
 POOL = 12
 K_MAX = 7
 
-#: Fleet sizes at and either side of a chunk boundary.
-SPANS = (1, 2, 63, 64, 65)
+#: Fleet sizes at and either side of one and two chunk boundaries.
+_CHUNK = DistanceBank.FLEET_CHUNK
+SPANS = (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
 
 
-def _pool(grid):
+class SmallGatherBank(DistanceBank):
+    """Gathers at most 1,000 block aggregates at a time: on the 4° grid's
+    50 blocks the disk kernel sweeps 2 (k = 7) to 20 (k = 1) servers per
+    chunk, so most fleets end in a partial chunk."""
+
+    _GATHER_ELEMENTS = 1000
+
+
+def _pool(grid, bank_class=DistanceBank):
     rng = np.random.default_rng(19)
     centres = rng.choice(grid.n_cells, POOL // 2, replace=False)
     lats = np.concatenate([grid.cell_lats[centres],
                            rng.uniform(-89.0, 89.0, POOL - POOL // 2)])
     lons = np.concatenate([grid.cell_lons[centres],
                            rng.uniform(-180.0, 180.0, POOL - POOL // 2)])
-    bank = DistanceBank(grid, max_points=2 * POOL)
+    bank = bank_class(grid, max_points=2 * POOL)
     rows = bank.rows(lats.tolist(), lons.tolist())
     fields = haversine_km_vec(
         lats[:, None], lons[:, None], grid.cell_lats[None, :],
@@ -47,6 +58,7 @@ def _pool(grid):
 
 
 POOLS = {res: _pool(grid) for res, grid in GRIDS.items()}
+SMALL_GATHER_POOL = _pool(GRIDS[4.0], SmallGatherBank)
 
 
 def _radii(rng, shape):
@@ -76,16 +88,13 @@ kernel_cases = dict(resolution=st.sampled_from(sorted(GRIDS)),
                     seed=st.integers(0, 2**32 - 1))
 
 
-def test_spans_straddle_a_chunk_boundary():
-    chunk = DistanceBank.FLEET_CHUNK
-    assert {span % chunk for span in SPANS if span >= chunk - 1} == \
-        {chunk - 1, 0, 1}
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_families=st.sampled_from((1, 2)), **kernel_cases)
-def test_disk_kernel_matches_naive(resolution, span, seed, n_families):
-    bank, pool_rows, fields = POOLS[resolution]
+@settings(max_examples=60, deadline=None)
+@given(n_families=st.sampled_from((1, 2)), small_gathers=st.booleans(),
+       **kernel_cases)
+def test_disk_kernel_matches_naive(resolution, span, seed, n_families,
+                                   small_gathers):
+    bank, pool_rows, fields = (SMALL_GATHER_POOL if small_gathers and
+                               resolution == 4.0 else POOLS[resolution])
     rng = np.random.default_rng(seed)
     counts, picks, slots = _ragged_fleet(rng, span)
     radii = np.full((n_families,) + slots.shape, np.inf, dtype=np.float32)

@@ -112,6 +112,19 @@ class TestDistanceBank:
         block = bank.field_block([10.0, 11.0], [20.0, 21.0])
         assert np.isfinite(block).all()
 
+    def test_mask_kernels_check_the_rows_they_read(self, sanitized, grid):
+        bank = DistanceBank(grid)
+        rows = bank.rows([10.0, 11.0], [20.0, 21.0])[None, :]
+        radii = np.full(rows.shape, 1000.0, dtype=np.float32)
+        bank.disk_intersections_fleet(rows, radii)
+        bank.ring_votes_fleet(rows, radii / 2, radii)
+        bank._fields[1, 7] = np.nan
+        with pytest.raises(SanitizerError, match="disk_intersections_fleet"):
+            bank.disk_intersections_fleet(rows, radii)
+        bank._fields[1, 7] = -5.0
+        with pytest.raises(SanitizerError, match="ring_votes_fleet"):
+            bank.ring_votes_fleet(rows, radii / 2, radii)
+
 
 # -- path-engine spot check ---------------------------------------------------
 

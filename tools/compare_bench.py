@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Compare a fresh pytest-benchmark JSON export against the committed baseline.
 
-Usage: python tools/compare_bench.py [--allow-missing] FRESH.json [BASELINE.json]
+Usage: python tools/compare_bench.py FRESH.json [BASELINE.json]
 
 The baseline defaults to ``BENCH_perf.json`` at the repository root.  The
 hard performance gates live *inside* the benchmarks (same-run ratios and
@@ -12,9 +12,7 @@ absolute budgets); this comparison is a coarse cross-machine tripwire:
   tolerated (CI runners vary widely in speed);
 * a baseline benchmark *missing* from the fresh run fails the job with a
   per-benchmark message — a silently dropped benchmark is a silently
-  dropped gate.  ``--allow-missing`` downgrades this to a warning for
-  jobs that deliberately run a subset of the bench suite (e.g. the CI
-  memory-budget job runs only the region benchmark);
+  dropped gate;
 * benchmarks exporting ``mem_peak_bytes``/``mem_budget_bytes`` via
   ``extra_info`` are additionally checked against their own budget, and
   against ``MEM_FAIL_RATIO`` times the baseline peak when the baseline
@@ -72,9 +70,6 @@ def _check_memory(name, fresh_extra, baseline_extra, failures):
 
 def main(argv):
     args = list(argv[1:])
-    allow_missing = "--allow-missing" in args
-    if allow_missing:
-        args.remove("--allow-missing")
     if not 1 <= len(args) <= 2:
         print(__doc__)
         return 2
@@ -105,13 +100,9 @@ def main(argv):
         _check_memory(name, fresh[name]["extra"], baseline[name]["extra"],
                       failures)
     for name in sorted(set(baseline) - set(fresh)):
-        if allow_missing:
-            print(f"{name:<{width}}  MISSING from fresh run (allowed)")
-        else:
-            print(f"{name:<{width}}  MISSING from fresh run  <-- FAIL")
-            failures.append(f"{name}: present in {baseline_path} but absent "
-                            f"from {fresh_path} — its gate did not run "
-                            f"(pass --allow-missing for subset jobs)")
+        print(f"{name:<{width}}  MISSING from fresh run  <-- FAIL")
+        failures.append(f"{name}: present in {baseline_path} but absent "
+                        f"from {fresh_path} — its gate did not run")
     if failures:
         print(f"\n{len(failures)} failure(s) against the committed baseline:")
         for message in failures:
