@@ -535,8 +535,9 @@ def run_audit(scenario: Scenario,
             checkpoint_path, servers, seed=seed, profile=profile,
             n_cells=grid.n_cells)
         if resume:
-            completed = checkpoint.load()
-        checkpoint.start(fresh=not resume)
+            completed = checkpoint.resume()
+        else:
+            checkpoint.start()
 
     # Warm the shortest-path engine for every router this audit can
     # touch — one batched Dijkstra — before any measurement and before

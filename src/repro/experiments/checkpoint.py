@@ -17,10 +17,19 @@ The mask bytes are exactly ``Region.packed_bytes()`` (MSB-first
 tail padding), so a resumed record is rebuilt by
 :meth:`Region.from_packbits` without touching a boolean mask.
 
-A truncated final line (the kill arrived mid-write) is silently dropped;
-that server is simply re-audited.  A header mismatch (different seed,
-profile, fleet, or grid) raises :class:`CheckpointMismatch` rather than
-splicing records from a different run.
+One record rule decides which lines of a journal count, and every reader
+— resume, finalize, merge and :meth:`AuditCheckpoint.iter_payloads` —
+walks the journal through the one scanner that applies it.  An *intact*
+record line ends in a newline, decodes to a :class:`ServerPayload` whose
+index lies in ``[0, n_servers)``, and starts with the ``{"i": <index>, ``
+prefix :meth:`AuditCheckpoint.append` writes.  In an ordinary journal
+the first line that is not intact, or that repeats an index, starts the
+torn tail (the kill arrived mid-write): readers stop there, resume cuts
+it off, and those servers are simply re-audited.  A header line without
+its newline means the kill arrived inside :meth:`AuditCheckpoint.start`,
+so resume starts fresh.  A header mismatch (different seed, profile,
+fleet, or grid) raises :class:`CheckpointMismatch` rather than splicing
+records from a different run.
 
 Campaign journals add one more state: *finalized*.  :meth:`finalize`
 atomically rewrites a complete journal index-sorted with a
@@ -29,8 +38,13 @@ sequence of finalized shard journals into one campaign journal whose
 bytes equal a finalized single-shot journal of the same fleet.  Because
 finality lives in the header — not in a trailing footer a torn write
 could silently drop — a half-finalized journal is indistinguishable from
-an ordinary partial one (safe to resume), while a journal that *claims*
-finality but lost records raises :class:`CheckpointMismatch`.
+an ordinary partial one (safe to resume).  A journal that *claims*
+finality must hold exactly ``n`` intact lines with indices ``0 … n-1``
+in order; a lost, duplicated, swapped or foreign line, or a missing
+final newline, raises :class:`CheckpointMismatch`, so a damaged shard
+never merges into a different report.  What the rule cannot see is a
+record that is damaged yet still decodes — a flipped hex digit inside a
+mask; catching that needs a per-record checksum.
 """
 
 from __future__ import annotations
@@ -38,9 +52,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, BinaryIO, Dict, Iterator, Optional,
+                    Sequence, Set, Tuple)
 
 from .. import sanitize
+from ..atomicfile import atomic_replace
 from ..core.assessment import ClaimAssessment, ContinentVerdict, Verdict
 from ..core.observations import RttObservation
 
@@ -146,6 +162,25 @@ def payload_from_json(data: dict) -> ServerPayload:
     )
 
 
+def _record_prefix(index: int) -> bytes:
+    """How :meth:`AuditCheckpoint.append` starts the record of ``index``."""
+    return b'{"i": %d, ' % index
+
+
+def _intact_payload(line: bytes, n_servers: int) -> Optional[ServerPayload]:
+    """The payload of an intact record line, else None (the record rule)."""
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        payload = payload_from_json(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if (not 0 <= payload.index < n_servers
+            or not line.startswith(_record_prefix(payload.index))):
+        return None
+    return payload
+
+
 def shard_journal_path(directory: str, shard_index: int, shards: int) -> str:
     """Canonical journal filename for one campaign shard."""
     if not 0 <= shard_index < shards:
@@ -153,17 +188,6 @@ def shard_journal_path(directory: str, shard_index: int, shards: int) -> str:
             f"shard index {shard_index} out of range for {shards} shards")
     name = f"shard-{shard_index:04d}-of-{shards:04d}.jsonl"
     return os.path.join(directory, name)
-
-
-def _fsync_dir(directory: str) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    fd = os.open(directory or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass  # some filesystems refuse directory fsync; rename still atomic
-    finally:
-        os.close(fd)
 
 
 class AuditCheckpoint:
@@ -211,15 +235,19 @@ class AuditCheckpoint:
 
     # -- reading -------------------------------------------------------------
 
-    def _validate_header(self, line: str) -> Optional[int]:
-        """Parse a header line; return its completeness claim (or None).
+    def _read_header(self, handle: BinaryIO) -> Tuple[bool, Optional[int]]:
+        """Read the header line: (whether it is intact, its finality claim).
 
-        Raises :class:`CheckpointMismatch` when the header (minus the
-        finality marker) does not match this run.
+        A header without its newline (a kill inside :meth:`start`) is not
+        intact.  Raises :class:`CheckpointMismatch` when an intact header
+        belongs to another run or claims other than ``n_servers`` records.
         """
+        line = handle.readline()
+        if not line.endswith(b"\n"):
+            return False, None
         try:
             header = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:
             raise CheckpointMismatch(
                 f"{self.path}: unreadable checkpoint header")
         complete = header.pop("complete", None) if isinstance(header, dict) \
@@ -228,101 +256,97 @@ class AuditCheckpoint:
             raise CheckpointMismatch(
                 f"{self.path}: checkpoint belongs to a different run "
                 f"(found {header!r}, expected {self._header!r})")
-        return complete
+        if complete not in (None, self._header["n_servers"]):
+            raise CheckpointMismatch(
+                f"{self.path}: finalized journal claims {complete!r} of "
+                f"{self._header['n_servers']} records — torn or tampered "
+                "finalize")
+        return True, complete
+
+    def _scan(self, handle: BinaryIO, complete: Optional[int]
+              ) -> Iterator[Tuple[int, bytes, ServerPayload]]:
+        """Yield ``(offset, line, payload)`` per intact record line.
+
+        The one record rule (module docstring): unfinalized (``complete``
+        None), the walk ends at the torn tail; finalized, any line out of
+        rule raises :class:`CheckpointMismatch`.
+        """
+        n_servers = self._header["n_servers"]
+        seen: Set[int] = set()
+        at = handle.tell()
+        for line in handle:
+            payload = _intact_payload(line, n_servers)
+            if complete is None:
+                if payload is None or payload.index in seen:
+                    return  # the torn tail; those servers are re-audited
+            elif payload is None or payload.index != len(seen):
+                raise CheckpointMismatch(
+                    f"{self.path}: finalized journal has a corrupt or "
+                    f"misplaced record line {len(seen)} — torn or tampered "
+                    "finalize")
+            seen.add(payload.index)
+            yield at, line, payload
+            at += len(line)
+        if complete is not None and len(seen) != complete:
+            raise CheckpointMismatch(
+                f"{self.path}: finalized journal holds {len(seen)} of "
+                f"{complete} records — torn or tampered finalize")
 
     def iter_payloads(self) -> Iterator[ServerPayload]:
-        """Stream completed payloads in journal order.
+        """Stream the journal's intact payloads in journal order.
 
-        Validates the header before yielding anything.  In an ordinary
-        (non-finalized) journal a torn or corrupt tail line ends the
-        stream — that server is simply re-audited.  A *finalized* journal
-        promises exactly ``complete`` intact records, so any corruption
-        or shortfall raises :class:`CheckpointMismatch` instead of being
-        silently accepted.
+        Validates the header before yielding anything.  An ordinary
+        journal's stream ends at its torn tail; a finalized journal that
+        breaks the record rule raises :class:`CheckpointMismatch` instead
+        of being silently accepted.
         """
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            header_line = handle.readline()
-            if not header_line:
-                return
-            complete = self._validate_header(header_line)
-            count = 0
-            for line in handle:
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    if complete is not None:
-                        raise CheckpointMismatch(
-                            f"{self.path}: finalized journal has a corrupt "
-                            "record line — torn or tampered finalize")
-                    return  # torn tail write; re-audit that server
-                yield payload_from_json(data)
-                count += 1
-            if complete is not None and count != complete:
-                raise CheckpointMismatch(
-                    f"{self.path}: finalized journal holds {count} of "
-                    f"{complete} records — torn or tampered finalize")
-
-    def load(self) -> Dict[int, ServerPayload]:
-        """Completed payloads by server index; {} when starting fresh.
-
-        Raises :class:`CheckpointMismatch` when the file's header does
-        not match this run.  A torn final line is dropped.
-        """
-        completed: Dict[int, ServerPayload] = {}
-        for payload in self.iter_payloads():
-            completed[payload.index] = payload
-        return completed
+        with open(self.path, "rb") as handle:
+            intact, complete = self._read_header(handle)
+            if intact:
+                for _, _, payload in self._scan(handle, complete):
+                    yield payload
 
     @property
     def is_final(self) -> bool:
         """Whether the journal on disk carries the finality marker."""
         if not os.path.exists(self.path):
             return False
-        with open(self.path, "r", encoding="utf-8") as handle:
-            header_line = handle.readline()
-        if not header_line:
-            return False
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            return False
-        return isinstance(header, dict) and "complete" in header
+        with open(self.path, "rb") as handle:
+            return self._read_header(handle)[1] is not None
 
     # -- writing -------------------------------------------------------------
 
-    def start(self, fresh: bool) -> None:
-        """Write the header (truncating when ``fresh`` or file absent).
+    def start(self) -> None:
+        """Begin a fresh journal: the header line, truncating any old file."""
+        directory = os.path.dirname(self.path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(self.path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(self._header) + "\n")
 
-        On resume the journal's torn tail — a record line the kill
-        interrupted mid-write — is cut off first, so new appends start on
-        a clean line instead of concatenating onto the fragment (which
-        would leave one unparseable line that :meth:`finalize` must
-        reject).
+    def resume(self) -> Dict[int, ServerPayload]:
+        """Reopen the journal for appends; its intact payloads by index.
+
+        One read collects the intact records and cuts off the torn tail,
+        so appends start on a clean line, not on a fragment.  A missing
+        journal, or one whose header a kill cut short, starts fresh.
+        Raises :class:`CheckpointMismatch` like :meth:`iter_payloads`.
         """
-        if fresh or not os.path.exists(self.path):
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(self._header) + "\n")
-            return
-        with open(self.path, "rb+") as handle:
-            handle.readline()  # header (already validated by load())
-            good = handle.tell()
-            while True:
-                line = handle.readline()
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    json.loads(line)
-                except ValueError:
-                    break
-                good = handle.tell()
-            handle.truncate(good)
+        completed: Dict[int, ServerPayload] = {}
+        if os.path.exists(self.path):
+            with open(self.path, "rb+") as handle:
+                intact, complete = self._read_header(handle)
+                if intact:
+                    end = handle.tell()
+                    for at, line, payload in self._scan(handle, complete):
+                        completed[payload.index] = payload
+                        end = at + len(line)
+                    handle.truncate(end)
+                    return completed
+        self.start()
+        return completed
 
     def append(self, payload: ServerPayload) -> None:
         """Durably record one completed server."""
@@ -341,60 +365,35 @@ class AuditCheckpoint:
 
         Requires every server to be journalled.  The finalized file —
         header carrying ``"complete": n_servers``, then records in
-        ascending index order regardless of completion order — is staged
-        to a temp file, fsynced, and ``os.replace``d over the journal, so
+        ascending index order regardless of completion order — replaces
+        the journal through :func:`~repro.atomicfile.atomic_replace`, so
         a kill at any instant leaves either the old resumable journal or
         the complete finalized one, never a half-written hybrid.
-        Idempotent on an already-finalized journal.
+        Idempotent on an already-finalized journal, which it re-validates.
         """
         if not os.path.exists(self.path):
             raise CheckpointMismatch(f"{self.path}: no journal to finalize")
+        expected = int(self._header["n_servers"])
         offsets: Dict[int, Tuple[int, int]] = {}
         with open(self.path, "rb") as src:
-            complete = self._validate_header(
-                src.readline().decode("utf-8"))
-            while True:
-                at = src.tell()
-                line = src.readline()
-                if not line:
-                    break
-                torn = not line.endswith(b"\n")
-                index: Optional[int] = None
-                if not torn:
-                    try:
-                        index = int(json.loads(line)["i"])
-                    except (json.JSONDecodeError, KeyError, TypeError,
-                            ValueError):
-                        torn = True
-                if torn:
-                    if complete is not None:
-                        raise CheckpointMismatch(
-                            f"{self.path}: finalized journal has a corrupt "
-                            "record line — torn or tampered finalize")
-                    break  # torn tail; below the count check rejects it
-                assert index is not None
-                offsets[index] = (at, len(line))
-            expected = int(self._header["n_servers"])
-            if (len(offsets) != expected
-                    or sorted(offsets) != list(range(expected))):
+            intact, complete = self._read_header(src)
+            if intact:
+                for at, line, payload in self._scan(src, complete):
+                    offsets[payload.index] = (at, len(line))
+            # The record rule admits only distinct indices in range.
+            if len(offsets) != expected:
                 raise CheckpointMismatch(
                     f"cannot finalize {self.path}: journal holds "
                     f"{len(offsets)} of {expected} servers")
             if complete is not None:
                 return  # already finalized (and just re-validated)
-            final_header = dict(self._header)
-            final_header["complete"] = expected
-            tmp = self.path + ".tmp"
-            with open(tmp, "wb") as out:
+            final_header = dict(self._header, complete=expected)
+            with atomic_replace(self.path) as out:
                 out.write((json.dumps(final_header) + "\n").encode("utf-8"))
                 for index in range(expected):
                     at, size = offsets[index]
                     src.seek(at)
                     out.write(src.read(size))
-                out.flush()
-                os.fsync(out.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(os.path.dirname(self.path))
 
     def merge_from(self, shards: Sequence["AuditCheckpoint"]) -> int:
         """Fold finalized shard journals into this campaign journal.
@@ -403,21 +402,18 @@ class AuditCheckpoint:
         are remapped by the running offset, so the merged file carries
         globally ascending indices.  Every shard header must agree with
         the campaign header on format, seed, profile, and grid, and every
-        shard must be finalized.  The merge is staged and ``os.replace``d
-        like :meth:`finalize`, and its output is byte-identical to a
-        finalized single-shot journal of the same fleet.  Returns the
-        number of records merged.
+        shard must be finalized and pass the record rule.  Only the
+        ``{"i": <index>, `` prefix the scan has just verified is
+        rewritten; the rest of each line is copied as is.  The merge
+        replaces the journal atomically like :meth:`finalize`, and its
+        output is byte-identical to a finalized single-shot journal of
+        the same fleet.  Returns the number of records merged.
         """
         total = int(self._header["n_servers"])
-        final_header = dict(self._header)
-        final_header["complete"] = total
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = self.path + ".tmp"
+        final_header = dict(self._header, complete=total)
         offset = 0
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(json.dumps(final_header) + "\n")
+        with atomic_replace(self.path) as out:
+            out.write((json.dumps(final_header) + "\n").encode("utf-8"))
             for shard in shards:
                 for key in ("format", "version", "audit_seed", "profile",
                             "n_cells"):
@@ -426,37 +422,21 @@ class AuditCheckpoint:
                             f"{shard.path}: shard journal {key!r} "
                             f"({shard._header[key]!r}) does not match the "
                             f"campaign ({self._header[key]!r})")
-                shard_n = int(shard._header["n_servers"])
-                merged = 0
-                with open(shard.path, "r", encoding="utf-8") as src:
-                    complete = shard._validate_header(src.readline())
-                    if complete != shard_n:
+                with open(shard.path, "rb") as src:
+                    complete = shard._read_header(src)[1]
+                    if complete is None:
                         raise CheckpointMismatch(
                             f"{shard.path}: shard journal is not finalized; "
                             "finalize every shard before merging")
-                    for line in src:
-                        try:
-                            data = json.loads(line)
-                        except json.JSONDecodeError:
-                            raise CheckpointMismatch(
-                                f"{shard.path}: finalized shard journal has "
-                                "a corrupt record line")
-                        data["i"] = int(data["i"]) + offset
-                        out.write(json.dumps(data) + "\n")
-                        merged += 1
-                if merged != shard_n:
-                    raise CheckpointMismatch(
-                        f"{shard.path}: finalized shard journal holds "
-                        f"{merged} of {shard_n} records")
-                offset += shard_n
+                    for _, line, payload in shard._scan(src, complete):
+                        out.write(_record_prefix(payload.index + offset))
+                        out.write(memoryview(line)[
+                            len(_record_prefix(payload.index)):])
+                offset += complete
             if offset != total:
                 raise CheckpointMismatch(
                     f"merged {offset} records but the campaign journal "
                     f"expects {total}")
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(directory)
         return offset
 
 

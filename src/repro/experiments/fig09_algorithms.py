@@ -74,15 +74,6 @@ class AlgorithmComparison:
         """Panel A: empty predictions are censored at +inf."""
         return ecdf([o.miss_km for o in self.for_algorithm(name)])
 
-    def centroid_ecdf(self, name: str) -> Ecdf:
-        """Panel B: hosts with empty predictions are excluded."""
-        values = [o.centroid_km for o in self.for_algorithm(name)
-                  if o.centroid_km is not None]
-        return ecdf(values)
-
-    def area_ecdf(self, name: str) -> Ecdf:
-        return ecdf([o.area_fraction for o in self.for_algorithm(name)])
-
     def fraction_within(self, name: str, km: float) -> float:
         """P(miss <= km) — the "off by less than 5000 km" style numbers."""
         return self.miss_ecdf(name).at(km)

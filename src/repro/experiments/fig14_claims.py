@@ -26,10 +26,6 @@ class ClaimLandscape:
         """Studied providers ranking inside the market's top 20."""
         return [name for name, rank in self.studied_ranks.items() if rank <= 20]
 
-    def tier1_claim_overlap(self) -> float:
-        """Not used for ranking; kept for API symmetry."""
-        return 1.0
-
 
 def run(scenario: Scenario, n_market_providers: int = 150,
         seed: int = 7) -> ClaimLandscape:

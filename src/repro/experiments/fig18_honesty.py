@@ -34,12 +34,6 @@ class HonestyMatrix:
             raise KeyError(f"no claims for provider {provider!r}")
         return sum(values) / len(values)
 
-    def country_mean(self, country: str) -> float:
-        values = [rate for (_, c), rate in self.honesty.items() if c == country]
-        if not values:
-            raise KeyError(f"no claims for country {country!r}")
-        return sum(values) / len(values)
-
     def tier_means(self, scenario: Scenario) -> Dict[int, float]:
         """Mean honesty by the claimed country's hosting tier."""
         sums: Dict[int, List[float]] = {1: [], 2: [], 3: []}

@@ -24,12 +24,6 @@ class ConfusionFigures:
     continent_matrix: CooccurrenceMatrix
     country_matrix: CooccurrenceMatrix
 
-    def most_confused_continents(self, n: int = 5) -> List[Tuple[str, str, int]]:
-        pairs = [(a, b, count)
-                 for a, b, count in self.continent_matrix.nonzero_pairs()
-                 if a < b]
-        return pairs[:n]
-
     def most_confused_countries(self, n: int = 10) -> List[Tuple[str, str, int]]:
         pairs = [(a, b, count)
                  for a, b, count in self.country_matrix.nonzero_pairs()

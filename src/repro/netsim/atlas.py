@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import config
+from ..atomicfile import atomic_replace
 from ..geodesy.greatcircle import haversine_km
 from .cities import City
 from .hosts import Host, HostFactory
@@ -404,46 +404,28 @@ class AtlasConstellation:
     def save_mesh_archive(self) -> Optional[str]:
         """Persist the archive to the snapshot directory if it grew.
 
-        Written whole and atomically (unique temporary file, fsync,
-        ``os.replace``, directory fsync) under :meth:`mesh_digest`, so a
-        concurrent reader sees the old file or the new one, never a mix.
-        Returns the path written, or None when there was nothing to save,
-        the topology changed under the archived values, or the directory
-        is not writable (persistence never fails the caller).
+        Written whole under :meth:`mesh_digest` through
+        :func:`~repro.atomicfile.atomic_replace`, so a concurrent reader
+        sees the old file or the new one, never a mix.  Returns the path
+        written, or None when there was nothing to save, the topology
+        changed under the archived values, or the directory is not
+        writable (persistence never fails the caller).
         """
         if (not self._mesh_dirty
                 or self._mesh_version != self.network.topology.version):
             return None
         keys, delays = self._mesh_cache.arrays()
         digest = self.mesh_digest()
-        directory = config.snapshot_dir()
-        path = self._snapshot_path(directory, digest)
-        tmp_path = None
+        path = self._snapshot_path(config.snapshot_dir(), digest)
         try:
-            os.makedirs(directory, exist_ok=True)
-            handle, tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".atlas-mesh-", suffix=".tmp")
-            with os.fdopen(handle, "wb") as stream:
+            with atomic_replace(path) as stream:
                 np.savez(stream,
                          key=np.frombuffer(bytes.fromhex(digest), np.uint8),
                          pairs=keys, delays=delays,
                          checksum=np.frombuffer(_checksum(keys, delays),
                                                 np.uint8))
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-            tmp_path = None
-            flags = getattr(os, "O_DIRECTORY", 0)
-            dir_fd = os.open(directory, os.O_RDONLY | flags)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
         except OSError:
             return None
-        finally:
-            if tmp_path is not None and os.path.exists(tmp_path):
-                os.unlink(tmp_path)
         self._mesh_dirty = False
         return path
 

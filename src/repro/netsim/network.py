@@ -203,45 +203,25 @@ class Network:
 
     # -- stochastic part ---------------------------------------------------------
 
-    def _queueing_noise_ms(self, a: Host, b: Host,
-                           rng: np.random.Generator) -> float:
-        """One sample of round-trip queueing delay, ms.
-
-        Exponential with a scale set by the endpoint cities' congestion,
-        plus rare heavy congestion spikes (intermediate routers can add
-        "unbounded delays" — Li et al., quoted in the paper).
-        """
-        scale = (self.topology.city(a.city_id).congestion_scale_ms
-                 + self.topology.city(b.city_id).congestion_scale_ms)
-        noise = float(rng.exponential(scale))
-        if rng.random() < 0.02:
-            noise += float(rng.exponential(60.0))
-        return noise
-
     def rtt_sample_ms(self, a: Host, b: Host,
                       rng: Optional[np.random.Generator] = None) -> float:
         """One measured round-trip time between two hosts, ms.
 
+        The one-sample case of :meth:`rtt_samples_ms`, draw for draw.
         NaN when fault injection is active and the probe is lost.
         """
-        rng = rng if rng is not None else self._rng
-        sample = self.base_rtt_ms(a, b) + self._queueing_noise_ms(a, b, rng)
-        faults = self.active_faults()
-        if faults is not None:
-            burst = np.array([sample])
-            down = (faults.landmark_down(a.host_id, self._fault_time)
-                    or faults.landmark_down(b.host_id, self._fault_time))
-            sample = float(faults.afflict_burst(burst, down, rng)[0])
-        return sample
+        return float(self.rtt_samples_ms(a, b, 1, rng)[0])
 
     def rtt_samples_ms(self, a: Host, b: Host, n: int,
                        rng: Optional[np.random.Generator] = None, *,
                        base: Optional[float] = None) -> np.ndarray:
         """``n`` independent RTT samples between two hosts, ms.
 
-        The noise for all ``n`` samples is drawn in one vectorised pass —
-        same distribution as :meth:`rtt_sample_ms`, a fraction of the
-        generator overhead.  Audits take hundreds of thousands of
+        Queueing noise is exponential with a scale set by the endpoint
+        cities' congestion, plus rare heavy congestion spikes
+        (intermediate routers can add "unbounded delays" — Li et al.,
+        quoted in the paper).  The noise for all ``n`` samples is drawn
+        in one vectorised pass.  Audits take hundreds of thousands of
         samples, so this is one of the pipeline's hottest paths.
         ``base`` lets a batched caller supply the (deterministic)
         round-trip floor it already computed via :meth:`base_rtt_pairs`;

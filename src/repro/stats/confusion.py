@@ -81,18 +81,6 @@ class CooccurrenceMatrix(LabelMatrix):
                          dtype=np.intp)
         self.counts[index[:, None], index] += 1     # the np.ix_ cross product
 
-    def add_sets(self, sets: Iterable[Iterable[str]]) -> "CooccurrenceMatrix":
-        """Record a stream of prediction coverages, one at a time.
-
-        Accepts any iterable — a generator over a journal, a list of
-        lists — and never materialises it: each coverage set is counted
-        and dropped, so aggregating a 100k-record stream costs the same
-        memory as a 10-record one.
-        """
-        for covered in sets:
-            self.add_set(covered)
-        return self
-
     def confusability(self, a: str, b: str) -> float:
         """P(region covers b | region covers a); 0 when a never appears."""
         total_a = self.get(a, a)

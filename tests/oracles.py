@@ -18,7 +18,10 @@ faster way, kept here so tests can pin the fast form bit for bit:
   subset search, which now run on packed words;
 * the ``naive_*`` functions — the plain broadcast formulas of the
   bank's two mask kernels, which settle whole blocks from coarse
-  aggregates and sweep a fleet of panels at once.
+  aggregates and sweep a fleet of panels at once;
+* :func:`scalar_rtt_sample_ms` — one RTT sample drawn with scalar
+  generator calls, which ``Network.rtt_sample_ms`` now takes as the
+  one-sample case of ``rtt_samples_ms``.
 """
 
 from __future__ import annotations
@@ -336,3 +339,25 @@ def naive_ring_votes(fields: np.ndarray, inner: np.ndarray,
     inner = np.asarray(inner, dtype=np.float32)[:, None]
     outer = np.asarray(outer, dtype=np.float32)[:, None]
     return ((fields >= inner) & (fields <= outer)).sum(axis=0)
+
+
+# -- the scalar RTT sample -----------------------------------------------------
+
+def scalar_rtt_sample_ms(network, a, b, rng: np.random.Generator) -> float:
+    """One round-trip sample between hosts ``a`` and ``b``, ms, from
+    scalar draws: exponential queueing noise scaled by the endpoint
+    cities' congestion, a 2% chance of a heavy spike, then the open
+    measurement epoch's faults (NaN when the probe is lost)."""
+    scale = (network.topology.city(a.city_id).congestion_scale_ms
+             + network.topology.city(b.city_id).congestion_scale_ms)
+    noise = float(rng.exponential(scale))
+    if rng.random() < 0.02:
+        noise += float(rng.exponential(60.0))
+    sample = network.base_rtt_ms(a, b) + noise
+    faults = network.active_faults()
+    if faults is not None:
+        at = network._fault_time
+        down = (faults.landmark_down(a.host_id, at)
+                or faults.landmark_down(b.host_id, at))
+        sample = float(faults.afflict_burst(np.array([sample]), down, rng)[0])
+    return sample

@@ -10,8 +10,11 @@ byte-identical to a finalized single-shot journal of the same fleet.
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (DeploymentPlan, FleetTemplate, run_campaign,
                                run_campaign_shard, merge_campaign,
@@ -171,18 +174,32 @@ class TestByteIdentity:
 
 # -- resume and finalize durability -------------------------------------------
 
-def _unfinalize(path, keep_records):
-    """Rewrite a finalized journal as a mid-kill artifact: header without
-    the finality marker, ``keep_records`` intact lines, one torn tail."""
+def _unfinalize(path, kill):
+    """Rewrite a finalized journal as what a kill mid-shard left on disk:
+    ``kill`` maps the header line without the finality marker and the
+    record lines to the journal's remains."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        lines = handle.read().splitlines(keepends=True)
     header = json.loads(lines[0])
     header.pop("complete")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header) + "\n")
-        for line in lines[1:1 + keep_records]:
-            handle.write(line + "\n")
-        handle.write(lines[1 + keep_records][:30])  # torn mid-write
+        handle.write(kill(json.dumps(header) + "\n", lines[1:]))
+
+
+#: What a kill (or a stray writer) can leave of a shard journal: five
+#: intact records and a tail that is not a record, or a cut header.
+KILLED_JOURNALS = {
+    "half-written-record":
+        lambda header, rows: header + "".join(rows[:5]) + rows[5][:30],
+    "record-without-newline":
+        lambda header, rows: header + "".join(rows[:6])[:-1],
+    "empty-object-line":
+        lambda header, rows: header + "".join(rows[:5]) + "{}\n",
+    "json-array-line":
+        lambda header, rows: header + "".join(rows[:5]) + "[1]\n",
+    "empty-journal": lambda header, rows: "",
+    "half-written-header": lambda header, rows: header[:20],
+}
 
 
 class TestResume:
@@ -195,13 +212,15 @@ class TestResume:
         assert again.verdicts == sharded_run.shards[0].verdicts
         assert again.degraded == sharded_run.shards[0].degraded
 
+    @pytest.mark.parametrize("kill", list(KILLED_JOURNALS))
     def test_resume_mid_shard_byte_identical(self, scenario,
-                                             reference_report, tmp_path):
+                                             reference_report, tmp_path,
+                                             kill):
         directory = str(tmp_path)
         first = run_campaign(scenario, PLAN, shards=2,
                              journal_dir=directory)
         assert first.report.to_json() == reference_report.to_json()
-        _unfinalize(shard_journal_path(directory, 0, 2), keep_records=5)
+        _unfinalize(shard_journal_path(directory, 0, 2), KILLED_JOURNALS[kill])
         resumed = run_campaign(scenario, PLAN, shards=2,
                                journal_dir=directory, resume=True)
         assert resumed.report.to_json() == reference_report.to_json()
@@ -261,7 +280,7 @@ class TestAtomicFinalize:
             checkpoint.finalize()
         with open(target, "rb") as handle:
             assert handle.read() == before
-        assert not os.path.exists(target + ".tmp")
+        assert os.listdir(tmp_path) == ["partial.jsonl"]
 
     def test_finalize_idempotent(self, scenario, campaign_dir, sharded_run):
         path = shard_journal_path(campaign_dir, 0, N_SHARDS)
@@ -280,6 +299,88 @@ class TestAtomicFinalize:
         fresh = self._shard0_checkpoint(scenario, campaign_dir,
                                         str(tmp_path / "missing.jsonl"))
         assert not fresh.is_final
+
+
+MERGE_PLAN = DeploymentPlan(name="slice-12", max_servers=12)
+
+#: Damage to one record line of a finalized shard journal, or to its end.
+MUTATIONS = ("drop", "copy-over", "swap", "empty-object", "json-array",
+             "reordered-keys", "strip-newline", "truncate")
+
+
+def _mutate(journal, kind, i, j, cut):
+    """``journal`` (bytes) with ``kind`` applied to record lines ``i``
+    and ``j``, or cut at byte ``cut`` (modulo its length)."""
+    if kind == "strip-newline":
+        return journal[:-1]
+    if kind == "truncate":
+        return journal[:cut % len(journal)]
+    header, *rows = journal.splitlines(keepends=True)
+    i, j = i % len(rows), j % len(rows)
+    if kind == "drop":
+        del rows[i]
+    elif kind == "copy-over":
+        rows[i] = rows[j]
+    elif kind == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "empty-object":
+        rows[i] = b"{}\n"
+    elif kind == "json-array":
+        rows[i] = b"[1]\n"
+    else:
+        fields = list(json.loads(rows[i]).items())
+        rows[i] = (json.dumps(dict(reversed(fields))) + "\n").encode()
+    return header + b"".join(rows)
+
+
+class TestCorruptShardMerge:
+    """A finalized shard journal either merges into the uninterrupted
+    campaign's report and bytes or raises CheckpointMismatch — never a
+    different result, another exception, or a leftover temporary file."""
+
+    @pytest.fixture(scope="class")
+    def journals(self, scenario, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("merge"))
+        run = run_campaign(scenario, MERGE_PLAN, shards=2,
+                           journal_dir=directory)
+        shards = []
+        for index in range(2):
+            with open(shard_journal_path(directory, index, 2), "rb") as handle:
+                shards.append(handle.read())
+        with open(run.merged_journal, "rb") as handle:
+            return shards, run.report.to_json(), handle.read()
+
+    @given(shard=st.integers(0, 1), kind=st.sampled_from(MUTATIONS),
+           i=st.integers(0, 5), j=st.integers(0, 5), cut=st.integers(0))
+    @example(shard=0, kind="copy-over", i=1, j=2, cut=0)
+    @example(shard=1, kind="swap", i=0, j=3, cut=0)
+    @example(shard=0, kind="empty-object", i=2, j=0, cut=0)
+    @example(shard=1, kind="json-array", i=4, j=0, cut=0)
+    @example(shard=0, kind="reordered-keys", i=3, j=0, cut=0)
+    @example(shard=1, kind="truncate", i=0, j=0, cut=10**9)
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_shard_never_merges_differently(self, scenario, journals,
+                                                    shard, kind, i, j, cut):
+        shards, report, merged = journals
+        with tempfile.TemporaryDirectory() as directory:
+            for index, journal in enumerate(shards):
+                if index == shard:
+                    journal = _mutate(journal, kind, i, j, cut)
+                with open(shard_journal_path(directory, index, 2),
+                          "wb") as handle:
+                    handle.write(journal)
+            target = os.path.join(directory, MERGED_JOURNAL)
+            try:
+                got = merge_campaign(scenario, MERGE_PLAN, shards=2,
+                                     journal_dir=directory)
+            except CheckpointMismatch:
+                assert not os.path.exists(target)
+            else:
+                assert got.to_json() == report
+                with open(target, "rb") as handle:
+                    assert handle.read() == merged
+            assert not [name for name in os.listdir(directory)
+                        if name.endswith(".tmp")]
 
 
 # -- fault injection across shards --------------------------------------------

@@ -1,10 +1,16 @@
 """Tests for the latency oracle."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geodesy import BASELINE_SPEED_KM_PER_MS
 from repro.netsim import HostFactory, Network, Unreachable, build_cities, build_topology
+from repro.netsim.faults import FaultInjector, resolve_fault_profile
+from tests.oracles import scalar_rtt_sample_ms
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,30 @@ class TestStochasticPart:
     def test_sample_count_validated(self, network, hosts):
         with pytest.raises(ValueError):
             network.rtt_samples_ms(hosts[0], hosts[1], 0)
+
+    @given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 2),
+           b=st.integers(0, 2), target=st.integers(0, 2),
+           profile=st.sampled_from(
+               [None, "lossy-wan", "flaky-vpn", "blackout"]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_sample_matches_scalar_oracle(self, network, hosts, seed, a,
+                                              b, target, profile):
+        """rtt_sample_ms is the n=1 case of rtt_samples_ms: the scalar
+        formula's bits, and the generator left where it leaves it —
+        fault-free and inside a faulted measurement epoch."""
+        injector = None
+        if profile is not None:
+            injector = FaultInjector(resolve_fault_profile(profile),
+                                     seed=seed)
+            injector.schedule_outages([host.host_id for host in hosts])
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        with network.faults_installed(injector), \
+                network.measurement_epoch_for(hosts[target]):
+            for _ in range(3):
+                got = network.rtt_sample_ms(hosts[a], hosts[b], fast)
+                want = scalar_rtt_sample_ms(network, hosts[a], hosts[b], slow)
+                assert struct.pack("<d", got) == struct.pack("<d", want)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestCacheInvalidation:

@@ -174,12 +174,12 @@ def _checkpoint(tmp_path):
 class TestCheckpointRoundTrip:
     def test_nan_observation_fires_on_write(self, sanitized, tmp_path):
         checkpoint = _checkpoint(tmp_path)
-        checkpoint.start(fresh=True)
+        checkpoint.start()
         with pytest.raises(SanitizerError, match="round-trip"):
             checkpoint.append(_payload(one_way_ms=math.nan))
 
     def test_clean_payload_round_trips(self, sanitized, tmp_path):
         checkpoint = _checkpoint(tmp_path)
-        checkpoint.start(fresh=True)
+        checkpoint.start()
         checkpoint.append(_payload())
-        assert len(_checkpoint(tmp_path).load()) == 1
+        assert len(_checkpoint(tmp_path).resume()) == 1
