@@ -1,15 +1,13 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the performance benchmarks.
 
-One scenario (and one full-fleet audit, memoised inside
-``repro.experiments.audit.cached_audit``) is shared across every figure's
-benchmark, mirroring how the paper's measurement campaign fed all of its
-analyses.  Run with ``pytest benchmarks/ --benchmark-only -s`` to see the
-regenerated figure tables.
+The paper's figure, ablation and extension claims are tier-1 tests
+(``tests/claims.py``); this directory holds only the perf gates, which
+share the memoised default scenario.
 """
 
 import pytest
 
-from repro.experiments import cached_audit, default_scenario
+from repro.experiments import default_scenario
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -25,15 +23,3 @@ def snapshot_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def scenario():
     return default_scenario()
-
-
-@pytest.fixture(scope="session")
-def audit(scenario):
-    """The shared full-fleet audit consumed by Figures 16-23."""
-    return cached_audit(scenario, max_servers=None, seed=0)
-
-
-def emit(table: str) -> None:
-    """Print a regenerated figure table (visible with -s)."""
-    print()
-    print(table)

@@ -407,7 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    from .experiments import CheckpointMismatch
+    try:
+        return args.func(args)
+    except CheckpointMismatch as error:
+        # A damaged or foreign journal (audit --checkpoint, campaign shard
+        # or merge): one line naming it; 2 is a usage error.
+        print(f"repro: journal error: {error}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -180,27 +180,3 @@ class CBGPlusPlus(CBG):
                 discarded_landmarks=[],
             ))
         return results
-
-    # -- analysis helpers ----------------------------------------------------
-
-    def effective_landmarks(self, observations: Sequence[RttObservation]
-                            ) -> List[str]:
-        """Landmarks whose disk actually constrains the final region.
-
-        A measurement is *ineffective* (Figure 11) when removing its disk
-        leaves the final prediction unchanged — typically a radically
-        overestimated disk from a distant landmark.
-        """
-        observations = self._prepare(observations)
-        full = self.predict(observations)
-        effective: List[str] = []
-        for obs in observations:
-            others = [o for o in observations
-                      if o.landmark_name != obs.landmark_name]
-            if len(others) < 3:
-                effective.append(obs.landmark_name)
-                continue
-            without = self.predict(others)
-            if without.region != full.region:
-                effective.append(obs.landmark_name)
-        return effective

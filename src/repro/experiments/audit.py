@@ -662,7 +662,7 @@ def cached_audit(scenario: Scenario, max_servers: Optional[int] = None,
     """Memoised full-fleet audit, shared by the figure experiments.
 
     Figures 16 through 23 all consume the same audit run; recomputing it
-    per figure would dominate the benchmark harness.  Bounded LRU: the
+    per figure would dominate the paper-claims run.  Bounded LRU: the
     oldest audit is dropped once ``_AUDIT_CACHE_SLOTS`` distinct
     (scenario, max_servers, seed) combinations have been seen.
 

@@ -435,8 +435,8 @@ class AuditCheckpoint:
                 offset += complete
             if offset != total:
                 raise CheckpointMismatch(
-                    f"merged {offset} records but the campaign journal "
-                    f"expects {total}")
+                    f"{self.path}: merged {offset} records but the campaign "
+                    f"journal expects {total}")
         return offset
 
 

@@ -37,7 +37,7 @@ mutate ``self.mask`` in place (callers may share masks).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -425,19 +425,6 @@ class Region:
         within = flat % bits_per_block
         base = nonzero_blocks[flat // bits_per_block].astype(np.intp)
         return base * bits_per_block + within
-
-    def sample_points(self, max_points: int = 32) -> List[Tuple[float, float]]:
-        """Up to ``max_points`` evenly strided member cell centres.
-
-        Used by disambiguation heuristics that need representative points
-        rather than the full raster.
-        """
-        indices = self.cell_indices()
-        if len(indices) == 0:
-            return []
-        stride = max(1, len(indices) // max_points)
-        chosen = indices[::stride][:max_points]
-        return [self.grid.cell_center(int(i)) for i in chosen]
 
     def __repr__(self) -> str:
         return (f"Region(cells={self.n_cells}/{self.grid.n_cells}, "

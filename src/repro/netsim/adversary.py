@@ -11,10 +11,11 @@ geolocated can fight back.  Being *in the middle* it can
 
 :class:`AdversarialTunnel` wraps the honest tunnel with either strategy,
 aiming measurements at a *pretended location*.  The companion experiment
-(`benchmarks/test_bench_ext_adversary.py`) reproduces the qualitative
-claims: delay-adding cannot evict the true location from CBG-family
-regions (disks only grow), while it freely displaces the minimum-distance
-models; SYN-ACK forgery defeats everything.
+(`experiments.ext_adversary`, checked by the claim
+`tests/test_paper_claims.py::test_claim[ext_adversary]`) reproduces the
+qualitative claims: delay-adding cannot evict the true location from
+CBG-family regions (disks only grow), while it freely displaces the
+minimum-distance models; SYN-ACK forgery defeats everything.
 """
 
 from __future__ import annotations

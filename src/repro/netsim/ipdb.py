@@ -19,6 +19,7 @@ from a correct location.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -68,7 +69,8 @@ class IpdbPanel:
         self._stale_pool = [c.iso2 for c in self.registry if c.hosting_tier <= 2]
 
     def _rng_for(self, database: IpToLocationDatabase, server: ProxyServer):
-        key = hash((self._seed, database.name, server.ip)) & 0x7FFFFFFF
+        # Not hash(): a str's hash is salted per process.
+        key = zlib.crc32(f"{self._seed}|{database.name}|{server.ip}".encode())
         return np.random.default_rng(key)
 
     def lookup(self, database_name: str, server: ProxyServer,

@@ -367,13 +367,6 @@ class ProxiedClient:
         low, high = self.PROXY_OVERHEAD_MS
         return legs_out + legs_back + rng.uniform(low, high, size=n)
 
-    def direct_ping_ms(self, rng: Optional[np.random.Generator] = None) -> Optional[float]:
-        """ICMP RTT to the proxy, or None when the proxy drops ICMP."""
-        if not self.proxy.responds_to_ping:
-            return None
-        rng = rng if rng is not None else self._rng
-        return self.network.rtt_sample_ms(self.client, self.proxy.host, rng)
-
 
 def competitor_claim_counts(n_providers: int = 150, seed: int = 7,
                             max_countries: int = 197) -> List[int]:

@@ -144,3 +144,41 @@ class TestCampaignCommand:
         assert main(["campaign", "--shard-index", "0", "--merge",
                      "--journal-dir", str(tmp_path)]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_merge_over_a_damaged_shard_is_one_line(self, scenario, capsys,
+                                                    tmp_path):
+        plan, directory = self._plan_file(tmp_path), tmp_path / "journals"
+        directory.mkdir()
+        for index in ("0", "1"):
+            assert main(["campaign", "--plan", plan, "--shards", "2",
+                         "--shard-index", index,
+                         "--journal-dir", str(directory)]) == 0
+        shard = directory / "shard-0001-of-0002.jsonl"
+        lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+        shard.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["campaign", "--plan", plan, "--shards", "2", "--merge",
+                     "--journal-dir", str(directory)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(shard) in err
+
+    def test_resume_over_a_foreign_journal_is_one_line(self, scenario, capsys,
+                                                       tmp_path):
+        directory = str(tmp_path / "journals")
+        assert main(["campaign", "--plan", self._plan_file(tmp_path, 6),
+                     "--journal-dir", directory]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "--plan", self._plan_file(tmp_path, 8),
+                     "--journal-dir", directory, "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "shard-0000-of-0001.jsonl" in err
+
+    def test_audit_resume_over_a_foreign_journal_is_one_line(
+            self, scenario, capsys, tmp_path):
+        journal = str(tmp_path / "audit.jsonl")
+        assert main(["audit", "--servers", "6", "--checkpoint", journal]) == 0
+        capsys.readouterr()
+        assert main(["audit", "--servers", "8", "--checkpoint", journal,
+                     "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and journal in err

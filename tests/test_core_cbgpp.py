@@ -66,22 +66,3 @@ class TestSubsetBehaviour:
             for lm in scenario.atlas.anchors[:6]]
         prediction = algorithm.predict(observations)
         assert not prediction.failed
-
-
-class TestEffectiveLandmarks:
-    def test_effective_subset_of_used(self, scenario, algorithm):
-        observations = good_observations(scenario, n=6)
-        effective = algorithm.effective_landmarks(observations)
-        names = {o.landmark_name for o in observations}
-        assert set(effective) <= names
-
-    def test_duplicate_whole_earth_disk_is_ineffective(self, scenario,
-                                                       algorithm):
-        observations = good_observations(scenario, n=6)
-        # Add a landmark whose delay is so large its disk is the whole
-        # earth; removing it cannot change anything.
-        lazy = scenario.atlas.anchors[10]
-        padded = observations + [RttObservation(lazy.name, lazy.lat,
-                                                lazy.lon, 10000.0)]
-        effective = algorithm.effective_landmarks(padded)
-        assert lazy.name not in effective

@@ -130,16 +130,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Region.empty(grid).distance_to_point_km(0.0, 0.0)
 
-    def test_sample_points_bounded_and_members(self, grid):
-        region = Region.from_disk(grid, SphericalDisk(0.0, 0.0, 5000.0))
-        points = region.sample_points(max_points=16)
-        assert 1 <= len(points) <= 16
-        for lat, lon in points:
-            assert region.contains(lat, lon)
-
-    def test_sample_points_empty(self, grid):
-        assert Region.empty(grid).sample_points() == []
-
     def test_repr_mentions_cells(self, grid):
         text = repr(Region.from_cells(grid, [0]))
         assert "cells=1" in text

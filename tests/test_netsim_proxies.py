@@ -127,15 +127,11 @@ class TestProxiedClient:
         server = next(s for s in scenario.all_servers() if s.responds_to_ping)
         tunnel = ProxiedClient(scenario.network, scenario.client, server)
         rng = np.random.default_rng(1)
-        direct = min(tunnel.direct_ping_ms(rng) for _ in range(10))
+        direct = min(scenario.network.rtt_sample_ms(scenario.client,
+                                                    server.host, rng)
+                     for _ in range(10))
         indirect = min(tunnel.self_ping_through_proxy_ms(rng) for _ in range(10))
         assert indirect == pytest.approx(2 * direct, rel=0.3)
-
-    def test_direct_ping_none_when_filtered(self, scenario):
-        server = next(s for s in scenario.all_servers()
-                      if not s.responds_to_ping)
-        tunnel = ProxiedClient(scenario.network, scenario.client, server)
-        assert tunnel.direct_ping_ms() is None
 
 
 class TestMarketModel:

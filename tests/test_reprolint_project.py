@@ -613,15 +613,16 @@ class TestSarif:
 
 
 def test_self_lint_tools_benchmarks_examples():
-    """The self-lint satellite: reprolint over its own code and the
-    benchmark/example trees must be clean (with reasoned suppressions
-    where intentional)."""
+    """The self-lint satellite: reprolint over its own code, the
+    benchmark/example trees and the paper-claims module must be clean
+    (with reasoned suppressions where intentional)."""
     completed = subprocess.run(
         [sys.executable, "-m", "tools.reprolint",
-         "tools/reprolint", "benchmarks", "examples"],
+         "tools/reprolint", "benchmarks", "examples",
+         "tests/claims.py", "tests/test_paper_claims.py"],
         cwd=REPO_ROOT, capture_output=True, text=True)
     assert completed.returncode == 0, (
-        f"reprolint found violations in tools/benchmarks/examples:\n"
+        f"reprolint found violations in tools/benchmarks/examples/claims:\n"
         f"{completed.stdout}")
 
 
