@@ -50,10 +50,12 @@ def _scenario(args):
 
 
 def _report_archive(scenario) -> None:
-    """One stderr line: how much of the mesh-ping archive was reused."""
-    atlas = scenario.atlas
+    """Two stderr lines: how much of the substrate snapshot was reused."""
+    atlas, calibrations = scenario.atlas, scenario.calibrations
     print(f"mesh archive: {atlas.mesh_loaded} pairs loaded, "
           f"{atlas.mesh_computed} pairs computed", file=sys.stderr)
+    print(f"bestlines: {calibrations.bestlines_loaded} loaded, "
+          f"{calibrations.bestlines_fitted} fitted", file=sys.stderr)
 
 
 def _cmd_audit(args) -> int:
@@ -282,6 +284,7 @@ def _cmd_serve(args) -> int:
             [(server, None) for server in scenario.all_servers()])
         print(f"warmed {len(warmed)} verdicts into the cache")
         scenario.atlas.save_mesh_archive()
+        scenario.calibrations.save_bestlines()
     _report_archive(scenario)
     stats = serve_blocking(ServiceFrontend(service, queue_max=args.queue_max),
                            host=args.host, port=args.port,

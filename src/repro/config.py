@@ -104,10 +104,10 @@ SNAPSHOT_DIR = _register(Knob(
     kind="path",
     default=None,
     doc="Directory for the persisted substrate snapshot (the Atlas "
-        "mesh-ping archive, one content-digested file per world) that "
-        "audits, campaign shards and `repro serve --warm` reuse across "
-        "processes; unset means `$XDG_CACHE_HOME/repro`, else "
-        "`~/.cache/repro`.",
+        "mesh-ping archive and the landmark bestline fits, one "
+        "content-digested file each per world) that audits, campaign "
+        "shards and `repro serve --warm` reuse across processes; unset "
+        "means `$XDG_CACHE_HOME/repro`, else `~/.cache/repro`.",
 ))
 
 SANITIZE = _register(Knob(
@@ -116,7 +116,8 @@ SANITIZE = _register(Knob(
     default=False,
     doc="Enable the runtime sanitizer: cheap invariant assertions at "
         "module boundaries (packed-region padding, distance-bank "
-        "finiteness, path-engine cross-check, checkpoint round-trip).",
+        "finiteness, path-engine cross-check, checkpoint round-trip, "
+        "mesh-sampler and substrate-snapshot recomputes).",
 ))
 
 

@@ -95,6 +95,16 @@ class CbgCalibration:
         self.apply_slowline = apply_slowline
         self.bestline = self._fit_bestline(distances, delays)
 
+    @classmethod
+    def adopted(cls, bestline: Line, n_points: int,
+                apply_slowline: bool) -> "CbgCalibration":
+        """A calibration whose bestline was fitted before (a persisted fit)."""
+        model = cls.__new__(cls)
+        model.n_points = n_points
+        model.apply_slowline = apply_slowline
+        model.bestline = bestline
+        return model
+
     def _slope_bounds(self) -> Tuple[float, float]:
         min_slope = BASELINE.slope                      # can't beat 200 km/ms
         max_slope = SLOWLINE.slope if self.apply_slowline else float("inf")

@@ -24,6 +24,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 import numpy as np
 
 from ..core.assessment import Verdict, assess_claim
+from ..core.cbg import CBG
 from ..core.cbgpp import CBGPlusPlus
 from ..core.disambiguation import AuditRecord, refine_assessments
 from ..core.observations import RttObservation
@@ -362,6 +363,13 @@ def run_chunks(context: MeasureContext, servers: Sequence[ProxyServer],
             for payload in _measure_indices(context, servers, chunk, assess):
                 deliver(payload)
         return
+    algorithm = context.driver.algorithm
+    if isinstance(algorithm, CBG):
+        # Every bestline a panel can request, and the mesh pings behind
+        # them, are computed here rather than in the children, where they
+        # would die with the pool: the workers inherit them copy-on-write
+        # and the parent's snapshot save persists them.
+        algorithm.calibrations.fit_bestlines(algorithm.apply_slowline)
     _FORK_STATE = (context, servers, assess)
     try:
         with ProcessPoolExecutor(
@@ -604,9 +612,11 @@ def run_audit(scenario: Scenario,
                                       for at in range(n_chunks)) if chunk]
     run_chunks(context, servers, chunks, workers, True, deliver)
 
-    # Whatever mesh pings this audit archived outlive the process: the
-    # next shard, audit or service over the same world loads them.
+    # Whatever mesh pings and bestlines this audit produced outlive the
+    # process: the next shard, audit or service over the same world
+    # loads them.
     scenario.atlas.save_mesh_archive()
+    scenario.calibrations.save_bestlines()
 
     if finalize_checkpoint and checkpoint is not None:
         checkpoint.finalize()

@@ -12,14 +12,13 @@ measurement archive.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import config
-from ..atomicfile import atomic_replace
+from .. import sanitize
+from ..atomicfile import load_snapshot, sample_rows, save_snapshot
 from ..geodesy.greatcircle import haversine_km
 from .cities import City
 from .hosts import Host, HostFactory
@@ -30,8 +29,13 @@ from .network import Network
 MESH_FORMAT_VERSION = 1
 
 #: Archived pairs recomputed through the scalar sampler before a loaded
-#: snapshot is trusted.
+#: snapshot is trusted (``MESH_SANITIZE_VERIFY_PAIRS`` under
+#: ``REPRO_SANITIZE``).
 MESH_VERIFY_PAIRS = 16
+MESH_SANITIZE_VERIFY_PAIRS = 256
+
+#: The columns of a mesh snapshot file and their dtypes.
+_MESH_COLUMNS = {"pairs": "int64", "delays": "float64"}
 
 #: Target anchor counts per continent, mirroring the paper's Figure 3 skew.
 ANCHOR_QUOTAS: Dict[str, int] = {
@@ -159,10 +163,6 @@ class MeshArchive:
         return keys[order], values[order]
 
 
-def _checksum(keys: np.ndarray, delays: np.ndarray) -> bytes:
-    return hashlib.sha256(keys.tobytes() + delays.tobytes()).digest()
-
-
 class AtlasConstellation:
     """Anchors + probes + the mesh-ping database they continuously produce."""
 
@@ -178,10 +178,8 @@ class AtlasConstellation:
                  probe_quotas: Optional[Dict[str, int]] = None):
         self.network = network
         self._rng = np.random.default_rng(seed)
-        self._factory = factory
         self.anchors: List[Landmark] = []
         self.probes: List[Landmark] = []
-        self.decommissioned: List[Landmark] = []
         self._mesh_cache = MeshArchive()
         #: Pairs adopted from a snapshot / computed in this process.
         self.mesh_loaded = 0
@@ -191,7 +189,6 @@ class AtlasConstellation:
         # topology.version every archived value was derived under (None
         # before the first; -1 once two versions mixed: never saved).
         self._mesh_version: Optional[int] = None
-        self._churn_counter = 0
         self._place(factory, anchor_quotas or ANCHOR_QUOTAS,
                     probe_quotas or PROBE_QUOTAS)
 
@@ -300,19 +297,20 @@ class AtlasConstellation:
         swapped = (ids[todo, 0] > ids[todo, 1]).tolist()
         lower = [pairs[at][flip].host for at, flip in zip(todo, swapped)]
         higher = [pairs[at][not flip].host for at, flip in zip(todo, swapped)]
-        seeds = [(low.host_id, high.host_id)
-                 for low, high in zip(lower, higher)]
         # Archived data: even when materialised mid-audit, the pings come
         # from the pristine substrate, or a value would depend on whose
         # measurement epoch happened to trigger it.
         with self.network.fault_free():
             delays = self.network.min_rtt_pairs_ms(
-                lower, higher, seeds, self.CALIBRATION_SAMPLES) / 2.0
+                lower, higher, self.CALIBRATION_SAMPLES) / 2.0
         self._mesh_cache.insert(keys[todo], delays)
         self._note_mesh_version()
         self._mesh_dirty = True
         self.mesh_computed += len(todo)
-        values[absent] = self._mesh_cache.lookup(keys[absent])
+        values[todo] = delays
+        repeats = absent[np.isnan(values[absent])]
+        if repeats.size:
+            values[repeats] = self._mesh_cache.lookup(keys[repeats])
         return values
 
     # -- the persisted archive ------------------------------------------------
@@ -328,10 +326,10 @@ class AtlasConstellation:
         """sha256 over everything an archived value depends on.
 
         The routed topology, each landmark's host id, router, last-mile
-        delay and city congestion scale (decommissioned ones too: their
-        pings stay archived), the samples per pair, and the format.
+        delay and city congestion scale, the samples per pair, and the
+        format.
         """
-        landmarks = sorted(self.all_landmarks() + self.decommissioned,
+        landmarks = sorted(self.all_landmarks(),
                            key=lambda lm: lm.host.host_id)
         topology = self.network.topology
         ids = np.array([(lm.host.host_id,) + tuple(lm.host.router)
@@ -348,35 +346,20 @@ class AtlasConstellation:
         hasher.update(delays.tobytes())
         return hasher.hexdigest()
 
-    @staticmethod
-    def _snapshot_path(directory: str, digest: str) -> str:
-        return os.path.join(directory, f"atlas-mesh-{digest[:32]}.npz")
-
     def _load_snapshot(self) -> None:
         """Adopt the persisted archive for this world if it verifies.
 
-        A missing, unreadable, truncated, bit-flipped, mis-shaped or
-        mis-keyed file, or one whose sampled pairs do not recompute to
-        the same bits, is ignored: the values are recomputed and the
-        next save overwrites it.
+        A file :func:`~repro.atomicfile.load_snapshot` rejects, one whose
+        pair keys are not strictly increasing, or one whose sampled pairs
+        do not recompute to the same bits, is ignored: the values are
+        recomputed and the next save overwrites it.
         """
-        digest = self.mesh_digest()
-        path = self._snapshot_path(config.snapshot_dir(), digest)
-        try:
-            with open(path, "rb") as handle, \
-                    np.load(handle, allow_pickle=False) as stored:
-                key = stored["key"]
-                keys = stored["pairs"]
-                delays = stored["delays"]
-                checksum = stored["checksum"]
-        except Exception:  # noqa: BLE001 - a missing file, or outside
-            return         # input that does not parse: either way, recompute
-        if (key.dtype != np.uint8 or key.tobytes() != bytes.fromhex(digest)
-                or keys.dtype != np.int64 or keys.ndim != 1
-                or delays.dtype != np.float64 or delays.shape != keys.shape
-                or checksum.dtype != np.uint8
-                or checksum.tobytes() != _checksum(keys, delays)
-                or not keys.size or (np.diff(keys) <= 0).any()
+        stored = load_snapshot("atlas-mesh", self.mesh_digest(),
+                               _MESH_COLUMNS)
+        if stored is None:
+            return
+        keys, delays = stored["pairs"], stored["delays"]
+        if (not keys.size or (np.diff(keys) <= 0).any()
                 or not self._verify_sample(keys, delays)):
             return
         self._mesh_cache.adopt(keys, delays)
@@ -385,11 +368,10 @@ class AtlasConstellation:
 
     def _verify_sample(self, keys: np.ndarray, delays: np.ndarray) -> bool:
         """Recompute digest-sampled pairs through ``Network.min_rtt_ms``."""
-        hosts = {lm.host.host_id: lm.host
-                 for lm in self.all_landmarks() + self.decommissioned}
-        draws = np.frombuffer(hashlib.sha512(keys.tobytes()).digest(),
-                              dtype="<u4")[:MESH_VERIFY_PAIRS]
-        for at in sorted(set((draws % keys.size).tolist())):
+        hosts = {lm.host.host_id: lm.host for lm in self.all_landmarks()}
+        count = (MESH_SANITIZE_VERIFY_PAIRS if sanitize.enabled()
+                 else MESH_VERIFY_PAIRS)
+        for at in sample_rows(keys, count):
             low, high = divmod(int(keys[at]), 1 << 32)
             if low not in hosts or high not in hosts:
                 return False
@@ -405,7 +387,7 @@ class AtlasConstellation:
         """Persist the archive to the snapshot directory if it grew.
 
         Written whole under :meth:`mesh_digest` through
-        :func:`~repro.atomicfile.atomic_replace`, so a concurrent reader
+        :func:`~repro.atomicfile.save_snapshot`, so a concurrent reader
         sees the old file or the new one, never a mix.  Returns the path
         written, or None when there was nothing to save, the topology
         changed under the archived values, or the directory is not
@@ -415,18 +397,10 @@ class AtlasConstellation:
                 or self._mesh_version != self.network.topology.version):
             return None
         keys, delays = self._mesh_cache.arrays()
-        digest = self.mesh_digest()
-        path = self._snapshot_path(config.snapshot_dir(), digest)
-        try:
-            with atomic_replace(path) as stream:
-                np.savez(stream,
-                         key=np.frombuffer(bytes.fromhex(digest), np.uint8),
-                         pairs=keys, delays=delays,
-                         checksum=np.frombuffer(_checksum(keys, delays),
-                                                np.uint8))
-        except OSError:
-            return None
-        self._mesh_dirty = False
+        path = save_snapshot("atlas-mesh", self.mesh_digest(),
+                             {"pairs": keys, "delays": delays})
+        if path is not None:
+            self._mesh_dirty = False
         return path
 
     def calibration_data(self, landmark: Landmark,
@@ -450,41 +424,6 @@ class AtlasConstellation:
             raise ValueError(
                 f"not enough peers to calibrate {landmark.name!r}")
         return data
-
-    def apply_churn(self, n_decommission: int = 0, n_add: int = 0,
-                    rng: Optional[np.random.Generator] = None) -> None:
-        """Simulate constellation churn over a measurement campaign.
-
-        The paper (section 4): "At the time we began our experiments ...
-        there were 207 usable anchors; during the course of the
-        experiment, 12 were decommissioned and another 61 were added."
-        Decommissioned anchors stop being selectable as landmarks (their
-        archived mesh pings remain in the cache, as RIPE's archive does);
-        added anchors appear at hub cities like the originals.
-
-        Calibration sets built before churn keep working for surviving
-        landmarks; rebuild :class:`~repro.core.calibrationset.CalibrationSet`
-        to pick up the newcomers.
-        """
-        rng = rng if rng is not None else self._rng
-        if n_decommission > len(self.anchors) - 8:
-            raise ValueError("cannot decommission nearly the whole constellation")
-        for _ in range(n_decommission):
-            index = int(rng.integers(len(self.anchors)))
-            self.decommissioned.append(self.anchors.pop(index))
-        for i in range(n_add):
-            continent = ("EU", "NA", "AS")[int(rng.integers(3))]
-            cities = self._eligible_cities(continent, for_anchors=True)
-            city = cities[int(rng.integers(len(cities)))]
-            self._churn_counter += 1
-            host = self._factory.create(
-                city.lat + float(rng.normal(0.0, 0.15)),
-                city.lon + float(rng.normal(0.0, 0.15)),
-                name=f"anchor-new-{self._churn_counter}",
-                os="linux", responds_to_ping=True,
-                listens_on_port_80=bool(rng.random() < 0.5),
-                city_id=city.city_id)
-            self.anchors.append(Landmark(host=host, kind="anchor"))
 
     def landmarks_on_continent(self, continent: str) -> List[Landmark]:
         """Anchors and stable probes located on a continent."""

@@ -11,12 +11,14 @@ because routes are circuitous.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
+from .. import sanitize
 from .faults import FaultInjector, MeasurementFailed
 from .hosts import Host
 from .pathengine import PathEngine
@@ -25,6 +27,81 @@ from .topology import RouterId, Topology
 
 class Unreachable(Exception):
     """Raised when no path exists between two routers."""
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int,
+                    count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``count`` successive hashmixes.
+
+    SeedSequence's hash constant evolves independently of the data
+    (``const *= mult`` after each xor), so the whole sequence is fixed;
+    both come back as ``(count, 1)`` uint32 columns.
+    """
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(init)
+        init = (init * mult) & _MASK32
+        mults.append(init)
+    return (np.array(xors, dtype=np.uint32)[:, None],
+            np.array(mults, dtype=np.uint32)[:, None])
+
+
+#: numpy's SeedSequence constants (``numpy/random/bit_generator.pyx``):
+#: 16 hashmixes while mixing entropy into the pool of 4, 8 while
+#: generating PCG64's 8 state words, and the two mix multipliers.
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray,
+             mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult
+    return words ^ (words >> np.uint32(16))
+
+
+def pcg64_states(low: Sequence[int],
+                 high: Sequence[int]) -> List[Tuple[int, int]]:
+    """``np.random.PCG64((low[i], high[i]))``'s ``(state, inc)`` per pair.
+
+    Runs numpy's SeedSequence entropy mixing (a pool of 4 words over
+    entropy ``[low, high]``) and state generation as uint32 array
+    operations over the whole batch, then the two 128-bit
+    ``pcg64_set_seed`` steps per pair in Python ints.  Building a
+    generator per pair costs ~13 µs of SeedSequence and object
+    construction; this costs ~1.5 µs.  Ids must lie in ``[0, 2**32)``,
+    where each is one entropy word.
+    """
+    ids = np.array([low, high], dtype=np.int64).reshape(2, -1)
+    if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
+        raise ValueError("seed ids must lie in [0, 2**32)")
+    entropy = np.zeros((4, ids.shape[1]), dtype=np.uint32)
+    entropy[:2] = ids
+    pool = _hashmix(entropy, _POOL_XOR[:4], _POOL_MULT[:4])
+    for source in range(4):
+        # Each other word mixes in this one's hash, in ascending order;
+        # this word itself does not change meanwhile.
+        targets = [target for target in range(4) if target != source]
+        steps = slice(4 + 3 * source, 7 + 3 * source)
+        hashed = _hashmix(pool[source], _POOL_XOR[steps], _POOL_MULT[steps])
+        mixed = _MIX_MULT_L * pool[targets] - _MIX_MULT_R * hashed
+        pool[targets] = mixed ^ (mixed >> np.uint32(16))
+    # generate_state(4, uint64): 8 words cycling the pool, read as
+    # little-endian uint64 pairs (seed high, seed low, inc high, inc low).
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    seeded = []
+    for seed_high, seed_low, inc_high, inc_low in np.ascontiguousarray(
+            state.T, dtype="<u4").view("<u8").tolist():
+        inc = ((((inc_high << 64) | inc_low) << 1) | 1) & _MASK128
+        seed = (seed_high << 64) | seed_low
+        seeded.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeded
 
 
 class Network:
@@ -282,17 +359,19 @@ class Network:
         return samples
 
     def min_rtt_pairs_ms(self, hosts_a: Sequence[Host],
-                         hosts_b: Sequence[Host], seeds: Sequence[object],
-                         n: int) -> np.ndarray:
+                         hosts_b: Sequence[Host], n: int) -> np.ndarray:
         """Fault-free :meth:`min_rtt_ms` for aligned host pairs, ms.
 
         Entry ``i`` equals ``min_rtt_ms(hosts_a[i], hosts_b[i], n,
-        np.random.default_rng(seeds[i]))`` outside a measurement epoch,
-        bit for bit.  Each pair still draws from its own generator, in
-        order: ``exponential(scale)`` is ``scale`` times a standard
-        exponential draw, so only the draws stay per pair while the
-        floors (:meth:`base_rtt_pairs`), scales, spikes and the minimum
-        become array operations.  The archived mesh pings are this
+        np.random.default_rng((hosts_a[i].host_id, hosts_b[i].host_id)))``
+        outside a measurement epoch, bit for bit.  Every pair's PCG64
+        state is derived at once (:func:`pcg64_states`) and set on one
+        reused generator, which then draws what that pair's own
+        generator would, in order: ``n`` standard exponentials
+        (``exponential(scale)`` is ``scale`` times one), ``n`` uniforms,
+        then one exponential per spike.  Only the draws stay per pair;
+        the floors (:meth:`base_rtt_pairs`), scales, spikes and the
+        minimum are array operations.  The archived mesh pings are this
         method's reason to exist; it refuses to run inside an epoch.
         """
         if n < 1:
@@ -300,9 +379,9 @@ class Network:
         if self.active_faults() is not None:
             raise RuntimeError("min_rtt_pairs_ms samples the fault-free "
                                "substrate; leave the measurement epoch")
-        k = len(seeds)
-        if len(hosts_a) != k or len(hosts_b) != k:
-            raise ValueError("hosts and seeds disagree in length")
+        k = len(hosts_a)
+        if len(hosts_b) != k:
+            raise ValueError("host lists disagree in length")
         if k == 0:
             return np.empty(0, dtype=np.float64)
         bases = self.base_rtt_pairs(hosts_a, hosts_b)
@@ -311,18 +390,60 @@ class Network:
                   + congestion[[b.city_id for b in hosts_b]])
         draws = np.empty((k, n), dtype=np.float64)
         uniform = np.empty((k, n), dtype=np.float64)
+        states = pcg64_states([a.host_id for a in hosts_a],
+                              [b.host_id for b in hosts_b])
+        bit_generator = np.random.PCG64(0)   # every pair sets its state
+        rng = np.random.Generator(bit_generator)
+        seeded = {"state": 0, "inc": 0}
+        spec = {"bit_generator": "PCG64", "state": seeded,
+                "has_uint32": 0, "uinteger": 0}
+        for draw, uniform_row, (state, inc) in zip(draws, uniform, states):
+            seeded["state"], seeded["inc"] = state, inc
+            bit_generator.state = spec
+            rng.standard_exponential(out=draw)
+            rng.random(out=uniform_row)
+        spikes = uniform < 0.02
+        counts = np.count_nonzero(spikes, axis=1)
         extra: List[np.ndarray] = []
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            rng.standard_exponential(out=draws[i])
-            rng.random(out=uniform[i])
-            spikes = int(np.count_nonzero(uniform[i] < 0.02))
-            if spikes:
-                extra.append(rng.standard_exponential(spikes))
+        # Spike draws follow a pair's first 2n draws.  About 15% of pairs
+        # spike at n = 8: replaying those from their seeded state is
+        # cheaper than counting every pair's spikes inside the loop.
+        replay = np.empty(n, dtype=np.float64)
+        for at in np.flatnonzero(counts).tolist():
+            seeded["state"], seeded["inc"] = states[at]
+            bit_generator.state = spec
+            rng.standard_exponential(out=replay)
+            rng.random(out=replay)
+            extra.append(rng.standard_exponential(int(counts[at])))
         noise = scales[:, None] * draws
         if extra:
-            noise[uniform < 0.02] += 60.0 * np.concatenate(extra)
-        return (bases[:, None] + noise).min(axis=1)
+            noise[spikes] += 60.0 * np.concatenate(extra)
+        minima = (bases[:, None] + noise).min(axis=1)
+        if sanitize.enabled():
+            self._sanitize_pair_sample(hosts_a, hosts_b, n, minima)
+        return minima
+
+    def _sanitize_pair_sample(self, hosts_a: Sequence[Host],
+                              hosts_b: Sequence[Host], n: int,
+                              minima: np.ndarray) -> None:
+        """Recompute one digest-sampled pair with its own generator.
+
+        The pair is picked from a hash of the batch's host ids, never
+        from RNG state, and the scalar recompute draws from a fresh
+        ``default_rng``: arming the sanitizer moves no random stream.
+        """
+        ids = np.array([[a.host_id for a in hosts_a],
+                        [b.host_id for b in hosts_b]], dtype=np.int64)
+        pick = int(hashlib.sha256(ids.tobytes()).hexdigest()[:8], 16) \
+            % len(minima)
+        a, b = hosts_a[pick], hosts_b[pick]
+        scalar = self.min_rtt_ms(
+            a, b, n, np.random.default_rng((a.host_id, b.host_id)))
+        if scalar != float(minima[pick]):
+            raise sanitize.SanitizerError(
+                f"bulk-seeded mesh ping {a.name!r} -> {b.name!r} is "
+                f"{float(minima[pick])!r} ms, its own generator gives "
+                f"{scalar!r} ms")
 
     def min_rtt_ms(self, a: Host, b: Host, n: int = 3,
                    rng: Optional[np.random.Generator] = None, *,

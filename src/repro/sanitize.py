@@ -20,7 +20,12 @@ analysis") otherwise only documents:
 * **checkpoints** — every journalled record is round-tripped through
   the JSON codec before it is written; a payload that cannot be read
   back bit-identically (e.g. a NaN observation) trips immediately
-  instead of surfacing as a resume mismatch hours later.
+  instead of surfacing as a resume mismatch hours later;
+* **substrate snapshot** — each bulk-seeded batch of archived mesh
+  pings recomputes one digest-sampled pair with its own
+  ``default_rng``, a loaded archive is verified on 256 sampled pairs
+  instead of 16, and every adopted bestline fit is refitted on first
+  use.
 
 The sanitizer is read-only: it consumes no random draws and mutates no
 state, so a sanitized run is bit-identical to an unsanitized one (this

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,11 @@ def f_test_nested(rss_reduced: float, params_reduced: int,
         return AnovaResult(f_statistic, p_value, df_extra, df_residual)
     f_statistic = ((rss_reduced - rss_full) / df_extra) / (rss_full / df_residual)
     f_statistic = max(f_statistic, 0.0)
-    p_value = float(_scipy_stats.f.sf(f_statistic, df_extra, df_residual))
+    # Imported here: scipy.stats costs most of a second to import, and
+    # only Figure 4's ANOVA needs it.
+    from scipy import stats
+
+    p_value = float(stats.f.sf(f_statistic, df_extra, df_residual))
     return AnovaResult(f_statistic, p_value, df_extra, df_residual)
 
 

@@ -1,11 +1,13 @@
-"""The persisted mesh-ping archive: exact, order-free, verified on load.
+"""The persisted substrate snapshot: exact, order-free, verified on load.
 
-The archive holds one minimum one-way delay per unordered landmark pair.
-These tests pin the three properties that make sharing it across
-processes safe: a value depends on the pair alone (never on which
-landmark was calibrated first), a snapshot hit is byte-identical to a
-cold run, and every damaged or stale file is recomputed and overwritten
-instead of trusted.
+The mesh-ping archive holds one minimum one-way delay per unordered
+landmark pair, and the bestline file one fit per landmark and family.
+These tests pin the properties that make sharing them across processes
+safe: the bulk-seeded sampler draws exactly what a per-pair generator
+would, a value depends on the pair alone (never on which landmark was
+calibrated first), a snapshot hit is byte-identical to a cold run, and
+every damaged or stale file is recomputed and overwritten instead of
+trusted.
 """
 
 import hashlib
@@ -17,7 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.atomicfile import sample_rows
+from repro.core.calibrationset import FIT_VERIFY_LANDMARKS
 from repro.experiments import run_audit
 from repro.experiments.campaign import DeploymentPlan, run_campaign
 from repro.experiments.scenario import (
@@ -26,6 +32,7 @@ from repro.experiments.scenario import (
     SMALL_PROBE_QUOTAS,
     build_scenario,
 )
+from repro.netsim.network import pcg64_states
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -58,8 +65,12 @@ def archive(world):
     return world.atlas._mesh_cache.arrays()
 
 
-def snapshot_files(directory):
-    return sorted(Path(directory).glob("atlas-mesh-*.npz"))
+def snapshot_files(directory, prefix="atlas-mesh"):
+    return sorted(Path(directory).glob(f"{prefix}-*.npz"))
+
+
+def fit_files(directory):
+    return snapshot_files(directory, "bestlines")
 
 
 @pytest.fixture()
@@ -67,6 +78,47 @@ def snapshots(tmp_path, monkeypatch):
     directory = tmp_path / "snapshots"
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(directory))
     return directory
+
+
+HOST_IDS = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+class TestBulkSeeder:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(HOST_IDS, HOST_IDS), max_size=40),
+           shared_low=HOST_IDS, highs=st.lists(HOST_IDS, max_size=12))
+    def test_states_equal_per_pair_generators(self, pairs, shared_low,
+                                              highs):
+        """Random keys, id 0, a batch sharing one low id, repeated keys."""
+        pairs = (pairs + [(0, 0), (0, 1), (1, 0)]
+                 + [(shared_low, high) for high in highs] + pairs[:3])
+        states = pcg64_states([low for low, _ in pairs],
+                              [high for _, high in pairs])
+        for (low, high), (state, inc) in zip(pairs, states):
+            want = np.random.PCG64((low, high)).state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_sampler_equals_per_pair_generators(self, snapshots, n):
+        """Every sample count, so a spike's replayed draw can be the
+        minimum (at n = 8 it almost never is)."""
+        world = tiny_world()
+        network = world.network
+        hosts = sorted((lm.host for lm in world.atlas.all_landmarks()),
+                       key=lambda host: host.host_id)
+        lower, higher = zip(*[(a, b) for i, a in enumerate(hosts)
+                              for b in hosts[i + 1:]])
+        batch = network.min_rtt_pairs_ms(lower, higher, n)
+        scalar = [network.min_rtt_ms(a, b, n, np.random.default_rng(
+            (a.host_id, b.host_id))) for a, b in zip(lower, higher)]
+        assert batch.tolist() == scalar
+
+    def test_empty_batch_and_out_of_range_ids(self):
+        assert pcg64_states([], []) == []
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            pcg64_states([-1], [3])
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            pcg64_states([3], [2**32])
 
 
 class TestDirectionIndependence:
@@ -121,16 +173,43 @@ class TestSnapshotHits:
         cold = run_audit(cold_world, max_servers=60, seed=0)
         assert cold_world.atlas.mesh_loaded == 0
         assert cold_world.atlas.mesh_computed > 0
+        assert cold_world.calibrations.bestlines_loaded == 0
+        assert cold_world.calibrations.bestlines_fitted > 0
         [path] = snapshot_files(snapshots)
-        written = path.stat().st_mtime_ns
+        [fits] = fit_files(snapshots)
+        written = (path.stat().st_mtime_ns, fits.stat().st_mtime_ns)
 
         warm_world = small_world(seed=4)
         warm = run_audit(warm_world, max_servers=60, seed=0)
         assert warm_world.atlas.mesh_loaded == cold_world.atlas.mesh_computed
         assert warm_world.atlas.mesh_computed == 0
+        assert warm_world.calibrations.bestlines_loaded == \
+            cold_world.calibrations.bestlines_fitted
+        assert warm_world.calibrations.bestlines_fitted <= \
+            FIT_VERIFY_LANDMARKS
         assert record_digest(warm) == record_digest(cold)
         # Nothing grew, so nothing was rewritten.
-        assert path.stat().st_mtime_ns == written
+        assert (path.stat().st_mtime_ns, fits.stat().st_mtime_ns) == written
+
+    def test_parallel_cold_audit_persists_the_snapshot(self, tmp_path,
+                                                       monkeypatch,
+                                                       snapshots):
+        """Forked workers compute nothing the parent's save would miss."""
+        parallel = run_audit(small_world(seed=4), max_servers=40, seed=0,
+                             workers=2)
+        assert snapshot_files(snapshots) and fit_files(snapshots)
+
+        warm_world = small_world(seed=4)
+        warm = run_audit(warm_world, max_servers=40, seed=0)
+        assert warm_world.atlas.mesh_computed == 0
+        assert warm_world.calibrations.bestlines_loaded > 0
+        assert warm_world.calibrations.bestlines_fitted <= \
+            FIT_VERIFY_LANDMARKS
+
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path / "cold"))
+        cold = run_audit(small_world(seed=4), max_servers=40, seed=0)
+        assert record_digest(parallel) == record_digest(cold)
+        assert record_digest(warm) == record_digest(cold)
 
     def test_two_shard_campaign_as_processes_matches_cold(
             self, tmp_path, monkeypatch, snapshots):
@@ -143,6 +222,13 @@ class TestSnapshotHits:
         env = dict(os.environ, PYTHONPATH=SRC,
                    REPRO_SNAPSHOT_DIR=str(snapshots))
 
+        def counts(stderr, prefix):
+            [line] = [line for line in stderr.splitlines()
+                      if line.startswith(prefix)]
+            loaded, computed = (int(word) for word in line.split()
+                                if word.isdigit())
+            return loaded, computed
+
         def cli(*args):
             done = subprocess.run(
                 [sys.executable, "-m", "repro", "--seed", "6", "campaign",
@@ -150,16 +236,18 @@ class TestSnapshotHits:
                  "--journal-dir", str(journals), *args],
                 env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
-            [line] = [line for line in done.stderr.splitlines()
-                      if line.startswith("mesh archive:")]
-            loaded, computed = (int(word) for word in line.split()
-                                if word.isdigit())
-            return loaded, computed
+            return (counts(done.stderr, "mesh archive:"),
+                    counts(done.stderr, "bestlines:"))
 
-        loaded0, computed0 = cli("--shard-index", "0")
+        # Two workers: shard 0's parent fits every landmark before it
+        # forks, so shard 1 finds every bestline it needs.
+        (loaded0, computed0), (adopted0, fitted0) = cli(
+            "--shard-index", "0", "--workers", "2")
         assert loaded0 == 0 and computed0 > 0
-        loaded1, _ = cli("--shard-index", "1")
+        assert adopted0 == 0 and fitted0 > 0
+        (loaded1, _), (adopted1, fitted1) = cli("--shard-index", "1")
         assert loaded1 >= computed0
+        assert adopted1 == fitted0 and fitted1 <= FIT_VERIFY_LANDMARKS
         cli("--merge", "--report", str(report_path))
 
         monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path / "cold"))
@@ -189,9 +277,9 @@ def rewrite(path, **arrays):
         np.savez(stream, **fields)
 
 
-def checksum(keys, delays):
-    return np.frombuffer(
-        hashlib.sha256(keys.tobytes() + delays.tobytes()).digest(), np.uint8)
+def checksum(*columns):
+    return np.frombuffer(hashlib.sha256(
+        b"".join(column.tobytes() for column in columns)).digest(), np.uint8)
 
 
 def truncate(path):
@@ -233,6 +321,46 @@ def bare_array(path):
         np.save(stream, np.arange(4))
 
 
+@pytest.fixture(scope="module")
+def pristine_fits(tmp_path_factory):
+    """A tiny world's archive and CBG++ fits for twelve landmarks, saved."""
+    directory = tmp_path_factory.mktemp("pristine-fits")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOT_DIR", str(directory))
+        world = tiny_world()
+        fits = calibrate(world, world.atlas.all_landmarks()[:12])
+        mesh = Path(world.atlas.save_mesh_archive())
+        path = Path(world.calibrations.save_bestlines())
+    return mesh, mesh.read_bytes(), path, path.read_bytes(), fits
+
+
+def fit_one_ulp_off(path):
+    """Validly keyed and checksummed, but one fit the verify sample
+    reads is one ulp off: only refitting it can catch it."""
+    with np.load(path, allow_pickle=False) as stored:
+        columns = {name: stored[name] for name in stored.files
+                   if name not in ("key", "checksum")}
+    at = sample_rows(columns["hosts"], FIT_VERIFY_LANDMARKS)[0]
+    columns["slopes"][at] = np.nextafter(columns["slopes"][at], np.inf)
+    rewrite(path, **columns, checksum=checksum(
+        *(columns[name] for name in ("hosts", "slowline", "slopes",
+                                     "intercepts", "n_points"))))
+
+
+def fits_under_another_anchor_order(path):
+    """The fits of a world whose anchors are listed in another order,
+    under this world's file name."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOT_DIR", str(path.parent / "reversed"))
+        world = tiny_world()
+        landmarks = world.atlas.all_landmarks()[:12]
+        world.atlas.anchors.reverse()
+        calibrate(world, landmarks)
+        saved = Path(world.calibrations.save_bestlines())
+    assert saved.name != path.name
+    path.write_bytes(saved.read_bytes())
+
+
 class TestDamagedSnapshots:
     @pytest.mark.parametrize("damage", [truncate, flip_bit, wrong_shape,
                                         wrong_digest, failing_sample,
@@ -267,6 +395,43 @@ class TestDamagedSnapshots:
         assert world.atlas.mesh_loaded == len(pristine_archive[0])
         assert world.atlas.mesh_computed == 0
         assert world.atlas.save_mesh_archive() is None   # did not grow
+
+    @pytest.mark.parametrize("damage", [fit_one_ulp_off,
+                                        fits_under_another_anchor_order])
+    def test_damaged_fits_are_refit_and_overwritten(self, tmp_path,
+                                                     monkeypatch,
+                                                     pristine_fits, damage):
+        mesh, mesh_bytes, source, fits_bytes, fits = pristine_fits
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        (tmp_path / mesh.name).write_bytes(mesh_bytes)
+        path = tmp_path / source.name
+        path.write_bytes(fits_bytes)
+        damage(path)
+
+        world = tiny_world()
+        assert calibrate(world, world.atlas.all_landmarks()[:12]) == fits
+        assert world.atlas.mesh_computed == 0
+        assert world.calibrations.bestlines_loaded == 0
+        assert world.calibrations.save_bestlines() == str(path)
+        with np.load(path, allow_pickle=False) as stored, \
+                np.load(source, allow_pickle=False) as want:
+            assert stored.files == want.files
+            for name in want.files:
+                assert np.array_equal(stored[name], want[name])
+        assert [p.name for p in fit_files(tmp_path)] == [source.name]
+
+    def test_pristine_fits_are_a_hit(self, tmp_path, monkeypatch,
+                                     pristine_fits):
+        mesh, mesh_bytes, source, fits_bytes, fits = pristine_fits
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        (tmp_path / mesh.name).write_bytes(mesh_bytes)
+        (tmp_path / source.name).write_bytes(fits_bytes)
+        world = tiny_world()
+        assert calibrate(world, world.atlas.all_landmarks()[:12]) == fits
+        assert world.calibrations.bestlines_loaded == len(fits)
+        assert 0 < world.calibrations.bestlines_fitted <= \
+            FIT_VERIFY_LANDMARKS
+        assert world.calibrations.save_bestlines() is None  # nothing new
 
     def test_unwritable_directory_never_fails_the_audit(self, tmp_path,
                                                         monkeypatch):

@@ -6,20 +6,25 @@ change no results), and each assertion must actually *fire* when handed
 deliberately corrupted state.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.atomicfile import sample_rows
 from repro.core.assessment import ClaimAssessment, ContinentVerdict, Verdict
 from repro.core.observations import RttObservation
 from repro.experiments import run_audit
+from repro.core.calibrationset import FIT_VERIFY_LANDMARKS
 from repro.experiments.checkpoint import AuditCheckpoint, ServerPayload
+from repro.experiments.scenario import SMALL_CROWD_QUOTAS, build_scenario
 from repro.geo import Grid
 from repro.geo.bank import DistanceBank
 from repro.geo.region import Region
 from repro.netsim import build_cities, build_topology
+from repro.netsim import network as network_module
 from repro.netsim.pathengine import PathEngine
 from repro.sanitize import SanitizerError
 
@@ -183,3 +188,94 @@ class TestCheckpointRoundTrip:
         checkpoint.start()
         checkpoint.append(_payload())
         assert len(_checkpoint(tmp_path).resume()) == 1
+
+
+# -- substrate snapshot: bulk-seeded mesh and persisted bestlines -------------
+
+def _tiny_world():
+    return build_scenario(
+        seed=3, proxy_scale=0.1,
+        anchor_quotas={"EU": 12, "NA": 6, "AS": 4},
+        probe_quotas={"EU": 10, "NA": 6},
+        crowd_quotas=SMALL_CROWD_QUOTAS)
+
+
+class TestBulkSeededMesh:
+    def test_wrong_seed_state_fires(self, sanitized, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        derive = network_module.pcg64_states
+        monkeypatch.setattr(
+            network_module, "pcg64_states",
+            lambda low, high: [(state ^ 1, inc)
+                               for state, inc in derive(low, high)])
+        world = _tiny_world()
+        with pytest.raises(SanitizerError, match="bulk-seeded"):
+            world.calibrations.cbg(world.atlas.anchors[0].name)
+
+    def test_honest_sampler_passes(self, sanitized, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        world = _tiny_world()
+        assert world.calibrations.cbg(world.atlas.anchors[0].name)
+
+
+    def test_loaded_archive_is_verified_on_more_pairs(self, monkeypatch,
+                                                      tmp_path):
+        from repro.netsim import atlas as atlas_module
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        world = _tiny_world()
+        world.calibrations.cbg(world.atlas.anchors[0].name)
+        world.atlas.save_mesh_archive()
+        counts = []
+        sample = atlas_module.sample_rows
+
+        def spy(column, count):
+            counts.append(count)
+            return sample(column, count)
+
+        monkeypatch.setattr(atlas_module, "sample_rows", spy)
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_SANITIZE", flag)
+            reloaded = _tiny_world()
+            reloaded.calibrations.cbg(reloaded.atlas.anchors[0].name)
+            assert reloaded.atlas.mesh_loaded > 0
+        assert counts == [16, 256]
+
+
+class TestPersistedBestlines:
+    def test_fit_one_ulp_off_fires_on_first_use(self, monkeypatch,
+                                                tmp_path):
+        """A damaged fit outside the load's verify sample, under a valid
+        checksum: plain runs adopt it, the sanitizer refits and fires."""
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        world = _tiny_world()
+        landmarks = world.atlas.all_landmarks()[:12]
+        for landmark in landmarks:
+            world.calibrations.cbg(landmark.name, apply_slowline=True)
+        world.atlas.save_mesh_archive()
+        path = world.calibrations.save_bestlines()
+        with np.load(path, allow_pickle=False) as stored:
+            columns = {name: stored[name] for name in stored.files}
+        hosts = columns["hosts"]
+        [at, *_] = sorted(set(range(len(hosts)))
+                          - set(sample_rows(hosts, FIT_VERIFY_LANDMARKS)))
+        columns["slopes"][at] = np.nextafter(columns["slopes"][at], np.inf)
+        columns["checksum"] = np.frombuffer(hashlib.sha256(b"".join(
+            columns[name].tobytes() for name in (
+                "hosts", "slowline", "slopes", "intercepts", "n_points"))
+        ).digest(), np.uint8)
+        with open(path, "wb") as stream:
+            np.savez(stream, **columns)
+        [damaged] = [lm.name for lm in landmarks
+                     if lm.host.host_id == hosts[at]]
+
+        plain = _tiny_world()
+        model = plain.calibrations.cbg(damaged, apply_slowline=True)
+        assert plain.calibrations.bestlines_loaded == len(hosts)
+        assert model.bestline.slope == columns["slopes"][at]
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        checked = _tiny_world()
+        with pytest.raises(SanitizerError, match="persisted bestline"):
+            checked.calibrations.cbg(damaged, apply_slowline=True)

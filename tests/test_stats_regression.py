@@ -1,5 +1,10 @@
 """Tests for OLS, Theil-Sen, and nested-model ANOVA."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +175,17 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_slope_ci([0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
                                confidence=1.5)
+
+
+def test_package_imports_leave_scipy_stats_unloaded():
+    """scipy.stats costs most of a second to import; only Figure 4's
+    ANOVA needs it, so the CLI, campaign and service never load it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.experiments.campaign, "
+         "repro.service.frontend; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
