@@ -101,9 +101,10 @@ class CalibrationSet:
     def fit_bestlines(self, apply_slowline: bool) -> None:
         """Fit every landmark's bestline now.
 
-        Called before an audit forks its workers: they inherit the fits
-        and the mesh archive behind them copy-on-write, and the parent's
-        :meth:`save_bestlines` and archive save persist both.
+        Called in the set-up of an audit or service that forks workers:
+        they inherit the fits and the mesh archive behind them
+        copy-on-write, and the parent's :meth:`save_bestlines` and
+        archive save persist both.
         """
         for name in self._landmarks:
             self.cbg(name, apply_slowline)
@@ -161,8 +162,13 @@ class CalibrationSet:
         self.bestlines_loaded = len(fits)
 
     def _check_adopted(self, name: str, model: CbgCalibration) -> None:
-        """Sanitizer: an adopted bestline must refit to the same bits."""
-        refit = self._fit(name, model.apply_slowline)
+        """Sanitizer: an adopted bestline must refit to the same bits.
+
+        The check fit bypasses :meth:`_fit`, so ``bestlines_fitted``
+        counts the same fits with the sanitizer armed or not.
+        """
+        refit = CbgCalibration(self._calibration_points(name),
+                               apply_slowline=model.apply_slowline)
         if _fit_of(refit) != _fit_of(model):
             raise sanitize.SanitizerError(
                 f"persisted bestline of {name!r} (slowline="

@@ -24,7 +24,6 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 import numpy as np
 
 from ..core.assessment import Verdict, assess_claim
-from ..core.cbg import CBG
 from ..core.cbgpp import CBGPlusPlus
 from ..core.disambiguation import AuditRecord, refine_assessments
 from ..core.observations import RttObservation
@@ -363,13 +362,6 @@ def run_chunks(context: MeasureContext, servers: Sequence[ProxyServer],
             for payload in _measure_indices(context, servers, chunk, assess):
                 deliver(payload)
         return
-    algorithm = context.driver.algorithm
-    if isinstance(algorithm, CBG):
-        # Every bestline a panel can request, and the mesh pings behind
-        # them, are computed here rather than in the children, where they
-        # would die with the pool: the workers inherit them copy-on-write
-        # and the parent's snapshot save persists them.
-        algorithm.calibrations.fit_bestlines(algorithm.apply_slowline)
     _FORK_STATE = (context, servers, assess)
     try:
         with ProcessPoolExecutor(
@@ -557,6 +549,11 @@ def run_audit(scenario: Scenario,
         [scenario.client]
         + [lm.host for lm in scenario.atlas.all_landmarks()]
         + [server.host for server in servers])
+    if workers > 1:
+        # Likewise every bestline a panel can request, and the mesh pings
+        # behind them: fitted in a worker, they would die with the pool
+        # and miss the snapshot save below.
+        scenario.calibrations.fit_bestlines(algorithm.apply_slowline)
 
     # Every completed payload flows through one delivery point: journal
     # first (durability before anything observes the record), then either

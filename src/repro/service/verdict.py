@@ -179,6 +179,10 @@ class VerdictService:
             [scenario.client]
             + [lm.host for lm in scenario.atlas.all_landmarks()]
             + [s.host for s in servers])
+        if workers > 1:
+            # Every bestline too: fitted in a worker, it would die with
+            # the pool and miss ``repro serve --warm``'s snapshot save.
+            scenario.calibrations.fit_bestlines(self.algorithm.apply_slowline)
         self.eta = campaign_eta(scenario, seed, profile, self._injector)
         self._quarantined: FrozenSet[str] = frozenset(quarantined)
         self.epoch = TopologyEpoch.capture(

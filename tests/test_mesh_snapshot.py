@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.experiments.scenario import (
     build_scenario,
 )
 from repro.netsim.network import pcg64_states
+from repro.service import VerdictService
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -211,50 +213,138 @@ class TestSnapshotHits:
         assert record_digest(parallel) == record_digest(cold)
         assert record_digest(warm) == record_digest(cold)
 
+    def test_parallel_service_persists_the_snapshot(self, snapshots):
+        """``repro serve --warm --workers 2``: the parent fits every
+        landmark in its set-up, so its save misses nothing."""
+        def warm_service(workers):
+            world = small_world(seed=4)
+            service = VerdictService(world, seed=0, workers=workers,
+                                     batch_max=8)
+            responses = service.verdict_batch(
+                [(server, None) for server in world.all_servers()[:24]])
+            world.atlas.save_mesh_archive()
+            world.calibrations.save_bestlines()
+            return world, [response.canonical_json()
+                           for response in responses]
+
+        _, parallel = warm_service(workers=2)
+        assert snapshot_files(snapshots) and fit_files(snapshots)
+        world, serial = warm_service(workers=1)
+        assert world.atlas.mesh_computed == 0
+        assert world.calibrations.bestlines_loaded > 0
+        assert world.calibrations.bestlines_fitted <= FIT_VERIFY_LANDMARKS
+        assert serial == parallel
+
     def test_two_shard_campaign_as_processes_matches_cold(
-            self, tmp_path, monkeypatch, snapshots):
-        plan_path = tmp_path / "plan.json"
-        plan = DeploymentPlan(name="snapshot-slice", max_servers=24)
-        plan_path.write_text(plan.to_json(), encoding="utf-8")
-        journals = tmp_path / "journals"
-        journals.mkdir()
-        report_path = tmp_path / "report.json"
-        env = dict(os.environ, PYTHONPATH=SRC,
-                   REPRO_SNAPSHOT_DIR=str(snapshots))
-
-        def counts(stderr, prefix):
-            [line] = [line for line in stderr.splitlines()
-                      if line.startswith(prefix)]
-            loaded, computed = (int(word) for word in line.split()
-                                if word.isdigit())
-            return loaded, computed
-
-        def cli(*args):
-            done = subprocess.run(
-                [sys.executable, "-m", "repro", "--seed", "6", "campaign",
-                 "--plan", str(plan_path), "--shards", "2",
-                 "--journal-dir", str(journals), *args],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            return (counts(done.stderr, "mesh archive:"),
-                    counts(done.stderr, "bestlines:"))
-
-        # Two workers: shard 0's parent fits every landmark before it
-        # forks, so shard 1 finds every bestline it needs.
-        (loaded0, computed0), (adopted0, fitted0) = cli(
-            "--shard-index", "0", "--workers", "2")
+            self, tmp_path, snapshots, cold_slice_report):
+        """Serial shards, as operators run them: shard 1 adopts the part
+        of the snapshot shard 0 saved, computes and fits the landmarks
+        only its panels request, and saves the union."""
+        run = two_shard_campaign(tmp_path, snapshots)
+        assert run.report == cold_slice_report
+        (loaded0, computed0), (adopted0, fitted0) = run.counts[0]
         assert loaded0 == 0 and computed0 > 0
-        assert adopted0 == 0 and fitted0 > 0
-        (loaded1, _), (adopted1, fitted1) = cli("--shard-index", "1")
-        assert loaded1 >= computed0
-        assert adopted1 == fitted0 and fitted1 <= FIT_VERIFY_LANDMARKS
-        cli("--merge", "--report", str(report_path))
+        assert adopted0 == 0 and fitted0 == len(run.fits[0]) > 0
+        (loaded1, computed1), (adopted1, fitted1) = run.counts[1]
+        assert loaded1 == len(run.pairs[0]) >= computed0
+        assert adopted1 == fitted0
+        # The re-saved files hold both shards' work, shard 0's unchanged.
+        assert run.fits[0].items() <= run.fits[1].items()
+        new = len(run.fits[1]) - len(run.fits[0])
+        assert new > 0
+        assert new < fitted1 <= FIT_VERIFY_LANDMARKS + new
+        assert computed1 > 0
+        assert run.pairs[0].items() <= run.pairs[1].items()
+        assert len(run.pairs[1]) == loaded1 + computed1
 
-        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path / "cold"))
-        reference = run_campaign(small_world(seed=6), plan, shards=2, seed=6,
-                                 journal_dir=str(tmp_path / "reference"))
-        assert reference.report.to_json() + "\n" == \
-            report_path.read_text(encoding="utf-8")
+    def test_parallel_shard_leaves_only_the_verify_sample(
+            self, tmp_path, snapshots, cold_slice_report):
+        """Shard 0's parent fits every landmark before it forks, so
+        shard 1 finds every pair and bestline it needs."""
+        run = two_shard_campaign(tmp_path, snapshots, "--workers", "2")
+        assert run.report == cold_slice_report
+        (loaded0, computed0), (adopted0, fitted0) = run.counts[0]
+        assert loaded0 == 0 and computed0 > 0
+        assert adopted0 == 0 and fitted0 == len(run.fits[0]) > 0
+        (loaded1, computed1), (adopted1, fitted1) = run.counts[1]
+        assert (loaded1, computed1) == (computed0, 0)
+        assert adopted1 == fitted0 and fitted1 <= FIT_VERIFY_LANDMARKS
+        assert run.fits[1] == run.fits[0] and run.pairs[1] == run.pairs[0]
+
+
+#: The campaign slice the cross-process round trips run, at ``--seed 6``.
+SLICE = DeploymentPlan(name="snapshot-slice", max_servers=24)
+
+
+@pytest.fixture(scope="module")
+def cold_slice_report(tmp_path_factory):
+    """The slice's report from an in-process campaign, cold."""
+    directory = tmp_path_factory.mktemp("cold-slice")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOT_DIR", str(directory / "snapshots"))
+        reference = run_campaign(small_world(seed=6), SLICE, shards=2,
+                                 seed=6, journal_dir=str(directory / "run"))
+    return reference.report.to_json() + "\n"
+
+
+class TwoShardRun(NamedTuple):
+    #: Per shard, the CLI's ``(mesh archive, bestlines)`` count pairs.
+    counts: List[Tuple[Tuple[int, int], Tuple[int, int]]]
+    #: After each shard, the saved archive's pairs and the saved fits.
+    pairs: List[Dict[int, float]]
+    fits: List[Dict[Tuple[int, bool], Tuple[float, float, int]]]
+    report: str
+
+
+def two_shard_campaign(tmp_path, snapshots, *shard0_args):
+    """Shard 0 (with ``shard0_args``), shard 1 and the merge of
+    :data:`SLICE`, each its own ``repro campaign`` process over one
+    snapshot directory."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(SLICE.to_json(), encoding="utf-8")
+    journals = tmp_path / "journals"
+    journals.mkdir()
+    report_path = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_SNAPSHOT_DIR=str(snapshots))
+
+    def counts(stderr, prefix):
+        [line] = [line for line in stderr.splitlines()
+                  if line.startswith(prefix)]
+        loaded, computed = (int(word) for word in line.split()
+                            if word.isdigit())
+        return loaded, computed
+
+    def cli(*args):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--seed", "6", "campaign",
+             "--plan", str(plan_path), "--shards", "2",
+             "--journal-dir", str(journals), *args],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return (counts(done.stderr, "mesh archive:"),
+                counts(done.stderr, "bestlines:"))
+
+    def saved():
+        [mesh] = snapshot_files(snapshots)
+        [fits] = fit_files(snapshots)
+        with np.load(mesh, allow_pickle=False) as stored:
+            pairs = dict(zip(stored["pairs"].tolist(),
+                             stored["delays"].tolist()))
+        with np.load(fits, allow_pickle=False) as stored:
+            rows = zip(*(stored[name].tolist() for name in (
+                "hosts", "slowline", "slopes", "intercepts", "n_points")))
+        return pairs, {(host, slowline): tuple(fit)
+                       for host, slowline, *fit in rows}
+
+    run = TwoShardRun(counts=[], pairs=[], fits=[], report="")
+    for args in (("--shard-index", "0", *shard0_args),
+                 ("--shard-index", "1")):
+        run.counts.append(cli(*args))
+        pairs, fits = saved()
+        run.pairs.append(pairs)
+        run.fits.append(fits)
+    cli("--merge", "--report", str(report_path))
+    return run._replace(report=report_path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")

@@ -15,9 +15,9 @@ import pytest
 from repro import sanitize
 from repro.atomicfile import sample_rows
 from repro.core.assessment import ClaimAssessment, ContinentVerdict, Verdict
+from repro.core.calibrationset import FIT_VERIFY_LANDMARKS
 from repro.core.observations import RttObservation
 from repro.experiments import run_audit
-from repro.core.calibrationset import FIT_VERIFY_LANDMARKS
 from repro.experiments.checkpoint import AuditCheckpoint, ServerPayload
 from repro.experiments.scenario import SMALL_CROWD_QUOTAS, build_scenario
 from repro.geo import Grid
@@ -217,7 +217,6 @@ class TestBulkSeededMesh:
         world = _tiny_world()
         assert world.calibrations.cbg(world.atlas.anchors[0].name)
 
-
     def test_loaded_archive_is_verified_on_more_pairs(self, monkeypatch,
                                                       tmp_path):
         from repro.netsim import atlas as atlas_module
@@ -243,6 +242,30 @@ class TestBulkSeededMesh:
 
 
 class TestPersistedBestlines:
+    def test_check_fits_are_not_counted_as_fitted(self, monkeypatch,
+                                                   tmp_path):
+        """Refitting adopted bestlines moves no counter: the CLI's
+        ``bestlines: <n> loaded, <m> fitted`` reads the same armed."""
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        world = _tiny_world()
+        names = [lm.name for lm in world.atlas.all_landmarks()[:12]]
+        for name in names:
+            world.calibrations.cbg(name, apply_slowline=True)
+        world.atlas.save_mesh_archive()
+        world.calibrations.save_bestlines()
+        counts = []
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_SANITIZE", flag)
+            reloaded = _tiny_world()
+            for name in names:
+                reloaded.calibrations.cbg(name, apply_slowline=True)
+            counts.append((reloaded.calibrations.bestlines_loaded,
+                           reloaded.calibrations.bestlines_fitted))
+        (loaded, fitted), armed = counts
+        assert armed == (loaded, fitted)
+        assert loaded == len(names) and 0 < fitted <= FIT_VERIFY_LANDMARKS
+
     def test_fit_one_ulp_off_fires_on_first_use(self, monkeypatch,
                                                 tmp_path):
         """A damaged fit outside the load's verify sample, under a valid
