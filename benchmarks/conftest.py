@@ -1,8 +1,9 @@
 """Shared fixtures for the performance benchmarks.
 
 The paper's figure, ablation and extension claims are tier-1 tests
-(``tests/claims.py``); this directory holds only the perf gates, which
-share the memoised default scenario.
+(``tests/claims.py``), and so are the perf gates that read no clock
+(``tests/test_perf_memory.py``); this directory holds the perf gates
+that read one, which share the memoised default scenario.
 """
 
 import pytest

@@ -3,55 +3,51 @@
 The audit is the paper's main experiment and the repo's heaviest code
 path: per-server two-phase measurement, CBG++ multilateration, and claim
 assessment.  These benches time a warm 60-server audit slice end to end
-and hold it to a hard budget derived from the recorded baselines, so a
+and hold it to hard budgets derived from the recorded baselines, so a
 regression in any layer (netsim sampling, the distance bank, the fleet
 kernels, assessment) fails loudly instead of silently tripling CI time.
 
-Two baselines anchor the gates:
+Two baselines anchor the warm audit's gates:
 
-* the growth seed (commit 69cd537) ran the warm 60-server audit in
-  ~1.50 s;
-* the per-server engine after the PR 3/4 optimisations (CSR paths,
-  packed regions) ran it in ~0.30 s — the committed BENCH_perf.json
-  minimum this branch was developed against.
+* the growth seed (commit 69cd537) ran it in ~1.50 s, and the packed
+  region engine must beat that by ``SEED_REQUIRED_SPEEDUP``;
+* the per-server engine with CSR paths and packed regions ran it in
+  ~0.30 s, and the fleet engine must beat that by
+  ``FLEET_REQUIRED_SPEEDUP`` and stay under the absolute
+  ``FLEET_BUDGET_S``.
 
-The audit's measurement kernel (one ``predict_fleet`` sweep per chunk)
-must beat the per-server baseline by ``FLEET_REQUIRED_SPEEDUP`` and
-stay under the absolute ``FLEET_BUDGET_S``.  ``test_perf_fleet_scaling_1k``
-additionally drives ``predict_fleet`` over 1000 synthetic servers and
-holds the *marginal* per-server cost flat (catching bank-eviction
-thrash or any per-fleet superlinearity) under a tracemalloc memory
-budget.
+``test_perf_fleet_scaling_1k`` additionally drives ``predict_fleet``
+over 1000 synthetic servers and holds the *marginal* per-server cost
+flat (catching bank-eviction thrash or any per-fleet superlinearity).
+The memory budgets of both workloads read no clock and live in
+``tests/test_perf_memory.py``.
 """
-
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from benchmarks.timing import min_call_s
 from repro.core.cbgpp import CBGPlusPlus
-from repro.core.observations import RttObservation
 from repro.experiments import run_audit
-from repro.geodesy.greatcircle import haversine_km
+from tests.perf_baseline import (FLEET_AUDIT_WARM_S, FLEET_SCALING_1K_S,
+                                 OBSERVATION_PANEL_S, REGION_ENGINE_AUDIT_S,
+                                 SCALING_FLEET, SCALING_PREFIX, TIME_TRIPWIRE,
+                                 consistent_fleets)
 
 #: Warm 60-server audit wall time measured on the growth seed, seconds.
 SEED_WARM_AUDIT_S = 1.50
 
-#: The same protocol on the per-server engine after PR 4 (the committed
-#: BENCH_perf.json baseline this branch was developed against), seconds.
+#: Required speedup of the packed region engine over the growth seed.
+SEED_REQUIRED_SPEEDUP = 3.0
+
+#: The same protocol on the per-server engine, seconds.
 PERSERVER_WARM_AUDIT_S = 0.304
 
-#: Required speedup of the fleet engine over the PR 4 per-server number.
+#: Required speedup of the fleet engine over the per-server number.
 FLEET_REQUIRED_SPEEDUP = 5.0
 
 #: Absolute ceiling for the warm 60-server fleet audit, seconds.
 FLEET_BUDGET_S = 0.070
-
-#: Synthetic fleet sizes for the scaling bench: the marginal cost of the
-#: servers beyond the prefix is what must stay flat.
-SCALING_FLEET = 1000
-SCALING_PREFIX = 125
 
 #: Marginal cost per extra server may exceed the prefix's per-server
 #: cost by at most this factor (1.0 = perfectly flat; eviction thrash or
@@ -66,9 +62,6 @@ MARGINAL_BUDGET_S = 0.001
 SCALAR_SAMPLE = 40
 FLEET_VS_SCALAR_MIN = 1.25
 
-#: tracemalloc peak budget for one 1000-server ``predict_fleet`` sweep.
-SCALING_MEM_BUDGET_BYTES = 96 * 1024 * 1024
-
 
 @pytest.fixture(scope="module")
 def warm_scenario(scenario):
@@ -77,118 +70,52 @@ def warm_scenario(scenario):
     return scenario
 
 
-def test_perf_fleet_audit_warm(benchmark, warm_scenario):
-    # Fixed 40 rounds (~2.5 s): the budget gates on the *minimum*, and on
+def test_perf_fleet_audit_warm(warm_scenario):
+    # Fixed 40 rounds (~2.5 s): the budgets gate on the *minimum*, and on
     # shared single-core runners extra rounds are what let the bench
     # catch a quiet scheduling window instead of flaking on neighbours.
-    result = benchmark.pedantic(
-        lambda: run_audit(warm_scenario, max_servers=60, seed=0),
-        rounds=40, iterations=1)
+    floor, result = min_call_s(
+        lambda: run_audit(warm_scenario, max_servers=60, seed=0), rounds=40)
     assert len(result.records) == 60
-    floor = benchmark.stats.stats.min
-    benchmark.extra_info["seed_baseline_s"] = SEED_WARM_AUDIT_S
-    benchmark.extra_info["perserver_baseline_s"] = PERSERVER_WARM_AUDIT_S
-    benchmark.extra_info["required_speedup"] = FLEET_REQUIRED_SPEEDUP
-    benchmark.extra_info["speedup_vs_perserver"] = (
-        PERSERVER_WARM_AUDIT_S / floor)
+    # Loosest bound first, so a failure shows which bounds still held.
+    assert floor <= SEED_WARM_AUDIT_S / SEED_REQUIRED_SPEEDUP, (
+        f"packed-engine warm audit took {floor:.3f}s; budget is "
+        f"{SEED_WARM_AUDIT_S / SEED_REQUIRED_SPEEDUP:.3f}s")
+    assert floor < TIME_TRIPWIRE * REGION_ENGINE_AUDIT_S
+    assert floor < TIME_TRIPWIRE * FLEET_AUDIT_WARM_S
     assert floor <= FLEET_BUDGET_S, (
         f"warm 60-server audit took {floor:.3f}s; the fleet engine's "
         f"absolute budget is {FLEET_BUDGET_S:.3f}s")
     assert PERSERVER_WARM_AUDIT_S / floor >= FLEET_REQUIRED_SPEEDUP, (
         f"warm 60-server audit took {floor:.3f}s — only "
-        f"{PERSERVER_WARM_AUDIT_S / floor:.2f}x the PR 4 per-server "
+        f"{PERSERVER_WARM_AUDIT_S / floor:.2f}x the per-server "
         f"baseline of {PERSERVER_WARM_AUDIT_S:.3f}s "
         f"(need {FLEET_REQUIRED_SPEEDUP:.0f}x)")
 
 
-def test_perf_fleet_audit_parallel_matches_serial(warm_scenario):
-    """Worker fan-out must not change a single verdict (sanity, not speed).
-
-    On multi-core machines ``workers=4`` also cuts wall time; asserting
-    on that here would make the bench flaky on single-core CI runners,
-    so only the bit-identity contract is enforced.
-    """
-    serial = run_audit(warm_scenario, max_servers=24, seed=0, workers=1)
-    parallel = run_audit(warm_scenario, max_servers=24, seed=0, workers=4)
-    assert serial.verdict_counts() == parallel.verdict_counts()
-    for a, b in zip(serial.records, parallel.records):
-        assert np.array_equal(a.region.mask, b.region.mask)
-        assert a.assessment.verdict == b.assessment.verdict
-
-
-def _consistent_fleets(scenario, n_servers, seed):
-    """Synthetic observation panels with mutually consistent geometry.
-
-    Each panel is built around a hidden true location, with one-way
-    delays derived from the actual landmark distances plus positive
-    noise — so the joint intersection is non-empty and the sweep
-    exercises the vectorised fast path, exactly like a healthy audit.
-    (Contradictory panels fall back to the per-server subset search by
-    design; that path is covered by the warm audit bench above.)
-    """
-    rng = np.random.default_rng(seed)
-    pool = scenario.atlas.all_landmarks()
-    fleets = []
-    for _ in range(n_servers):
-        size = int(rng.integers(8, 31))
-        lat = float(rng.uniform(-55.0, 65.0))
-        lon = float(rng.uniform(-180.0, 180.0))
-        picks = rng.choice(len(pool), size=size, replace=True)
-        panel = []
-        for pick in picks:
-            landmark = pool[int(pick)]
-            distance = haversine_km(lat, lon, landmark.lat, landmark.lon)
-            panel.append(RttObservation(
-                landmark_name=landmark.name,
-                lat=landmark.lat,
-                lon=landmark.lon,
-                one_way_ms=distance / 100.0 + float(rng.uniform(0.5, 8.0))))
-        fleets.append(panel)
-    return fleets
-
-
-def _best_of(fn, rounds=3):
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
-def test_perf_fleet_scaling_1k(benchmark, warm_scenario):
-    """1000-server ``predict_fleet`` sweep: flat marginal cost, bounded
-    memory, and never slower than looping the scalar predictor."""
+def test_perf_fleet_scaling_1k(warm_scenario):
+    """1000-server ``predict_fleet`` sweep: flat marginal cost, and never
+    slower than looping the scalar predictor."""
     algorithm = CBGPlusPlus(warm_scenario.calibrations,
                             warm_scenario.worldmap)
-    fleets = _consistent_fleets(warm_scenario, SCALING_FLEET, seed=13)
+    fleets = consistent_fleets(warm_scenario, SCALING_FLEET, seed=13)
     prefix = fleets[:SCALING_PREFIX]
     algorithm.predict_fleet(prefix)  # warm the bank rows
 
-    prefix_s = _best_of(lambda: algorithm.predict_fleet(prefix))
+    prefix_s, _ = min_call_s(lambda: algorithm.predict_fleet(prefix),
+                             rounds=3)
     scalar_sample = fleets[:SCALAR_SAMPLE]
-    scalar_s = _best_of(
-        lambda: [algorithm.predict(panel) for panel in scalar_sample])
+    scalar_s, _ = min_call_s(
+        lambda: [algorithm.predict(panel) for panel in scalar_sample],
+        rounds=3)
     scalar_per_server = scalar_s / SCALAR_SAMPLE
 
-    tracemalloc.start()
-    algorithm.predict_fleet(fleets)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-
-    predictions = benchmark(lambda: algorithm.predict_fleet(fleets))
+    full_s, predictions = min_call_s(lambda: algorithm.predict_fleet(fleets))
     assert len(predictions) == SCALING_FLEET
 
-    full_s = benchmark.stats.stats.min
     marginal = (full_s - prefix_s) / (SCALING_FLEET - SCALING_PREFIX)
     prefix_per_server = prefix_s / SCALING_PREFIX
-    benchmark.extra_info["n_servers"] = SCALING_FLEET
-    benchmark.extra_info["marginal_s_per_server"] = marginal
-    benchmark.extra_info["prefix_s_per_server"] = prefix_per_server
-    benchmark.extra_info["scalar_s_per_server"] = scalar_per_server
-    benchmark.extra_info["mem_peak_bytes"] = int(peak)
-    benchmark.extra_info["mem_budget_bytes"] = SCALING_MEM_BUDGET_BYTES
-
+    assert full_s < TIME_TRIPWIRE * FLEET_SCALING_1K_S
     assert marginal <= MARGINAL_BUDGET_S, (
         f"marginal cost {marginal * 1e3:.3f} ms/server at "
         f"{SCALING_FLEET} servers exceeds the "
@@ -202,12 +129,9 @@ def test_perf_fleet_scaling_1k(benchmark, warm_scenario):
         f"fleet marginal {marginal * 1e3:.3f} ms/server is not "
         f"{FLEET_VS_SCALAR_MIN:.2f}x cheaper than looping the scalar "
         f"predictor ({scalar_per_server * 1e3:.3f} ms/server)")
-    assert peak <= SCALING_MEM_BUDGET_BYTES, (
-        f"1000-server sweep traced {peak} bytes peak; budget is "
-        f"{SCALING_MEM_BUDGET_BYTES}")
 
 
-def test_perf_observation_panel(benchmark, warm_scenario):
+def test_perf_observation_panel(warm_scenario):
     """One server's full phase-2 measurement panel, warm caches."""
     from repro.core.proxy_adapter import ProxyMeasurer
 
@@ -216,5 +140,6 @@ def test_perf_observation_panel(benchmark, warm_scenario):
                              server, seed=server.host.host_id)
     landmarks = warm_scenario.atlas.anchors[:25]
     rng = np.random.default_rng(7)
-    observations = benchmark(lambda: measurer.observe(landmarks, rng))
+    floor, observations = min_call_s(lambda: measurer.observe(landmarks, rng))
     assert len(observations) == len(landmarks)
+    assert floor < TIME_TRIPWIRE * OBSERVATION_PANEL_S

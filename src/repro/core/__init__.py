@@ -75,7 +75,7 @@ from .proxy_adapter import (
     collect_eta_data,
     estimate_eta,
 )
-from .resilience import LandmarkHealthTracker, RetryPolicy
+from .resilience import LandmarkHealthTracker
 from .spotter import Spotter
 from .twophase import (
     CONTINENT_ADJACENCY,
@@ -103,7 +103,6 @@ __all__ = [
     "PAPER_ETA",
     "LandmarkHealthTracker",
     "NoLandmarksAvailable",
-    "RetryPolicy",
     "DiskConstraint",
     "EtaEstimate",
     "GaussianRing",

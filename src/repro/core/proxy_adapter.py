@@ -30,7 +30,8 @@ from ..netsim.network import Network
 from ..netsim.proxies import ProxiedClient, ProxyServer
 from ..stats.regression import LinearFit, theil_sen_fit
 from .observations import RttObservation
-from .resilience import LandmarkHealthTracker, RetryPolicy
+from .resilience import (CAMPAIGN_BUDGET_MS, MAX_ATTEMPTS,
+                         LandmarkHealthTracker, backoff_ms)
 
 #: Default direct/indirect ratio when no pingable proxies are available to
 #: fit one.  Theory says exactly 1/2 (the path is traversed twice).
@@ -144,9 +145,10 @@ class ProxyMeasurer:
     (noise on short paths) are clamped to a floor rather than discarded —
     a zero-ish delay is itself informative.
 
-    Lost probes (NaN samples under fault injection) are retried per the
-    default :class:`RetryPolicy`; landmarks that keep absorbing probes are
-    quarantined for the rest of this target's audit via ``health``.
+    Lost probes (NaN samples under fault injection) are retried with
+    :func:`~repro.core.resilience.backoff_ms`; landmarks that keep
+    absorbing probes are quarantined for the rest of this target's audit
+    via ``health``.
     """
 
     ONE_WAY_FLOOR_MS = 0.05
@@ -166,14 +168,13 @@ class ProxyMeasurer:
         self.tunnel = ProxiedClient(network, client, proxy, seed=seed)
         self.proxy = proxy
         self.eta = eta
-        self.retry = RetryPolicy()
         self.health = LandmarkHealthTracker()
         self.elapsed_ms = 0.0
         self._rng = np.random.default_rng(seed + 1)
 
     def _spend(self, delay_ms: float) -> bool:
         """Account a simulated backoff delay; False when over budget."""
-        if self.elapsed_ms + delay_ms > self.retry.campaign_budget_ms:
+        if self.elapsed_ms + delay_ms > CAMPAIGN_BUDGET_MS:
             return False
         self.elapsed_ms += delay_ms
         return True
@@ -200,7 +201,7 @@ class ProxyMeasurer:
         faulty = self.tunnel.network.active_faults() is not None
         bursts = self.CLIENT_LEG_BURSTS if faulty else 1
         best = np.inf
-        for attempt in range(1, self.retry.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             for _ in range(bursts):
                 pings = self.tunnel.self_ping_through_proxy_samples_ms(
                     samples, rng)
@@ -209,13 +210,13 @@ class ProxyMeasurer:
                     best = min(best, float(finite.min()))
             if np.isfinite(best):
                 return self.CLIENT_LEG_SAFETY * self.eta * best
-            if attempt == self.retry.max_attempts:
+            if attempt == MAX_ATTEMPTS:
                 break
-            if not self._spend(self.retry.backoff_ms(attempt, rng)):
+            if not self._spend(backoff_ms(attempt, rng)):
                 break
         raise MeasurementFailed(
             f"tunnel to {self.proxy.hostname} unreachable: every self-ping "
-            f"of {self.retry.max_attempts} rounds was lost")
+            f"of {MAX_ATTEMPTS} rounds was lost")
 
     def observe(self, landmarks: Sequence[Landmark],
                 rng: Optional[np.random.Generator] = None,
@@ -236,7 +237,7 @@ class ProxyMeasurer:
         best = np.full(len(landmarks), np.inf)
         pending = [(index, lm) for index, lm in enumerate(landmarks)
                    if not self.health.quarantined(lm.name)]
-        for attempt in range(1, self.retry.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             if not pending:
                 break
             rtts = self.tunnel.rtt_through_proxy_matrix_ms(
@@ -254,9 +255,9 @@ class ProxyMeasurer:
                 elif not self.health.quarantined(lm.name):
                     failed.append((index, lm))
             pending = failed
-            if not pending or attempt == self.retry.max_attempts:
+            if not pending or attempt == MAX_ATTEMPTS:
                 break
-            if not self._spend(self.retry.backoff_ms(attempt, rng)):
+            if not self._spend(backoff_ms(attempt, rng)):
                 break
         observed = np.isfinite(best)
         adapted = np.maximum(best - client_leg, 2.0 * self.ONE_WAY_FLOOR_MS)

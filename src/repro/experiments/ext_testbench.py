@@ -16,6 +16,7 @@ whether coverage of the true location survives the indirection.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -113,7 +114,13 @@ def _build_testbench_fleet(scenario: Scenario, n_servers: int,
 
 def run(scenario: Scenario, n_servers: int = 12, seed: int = 0,
         algorithm: Optional[GeolocationAlgorithm] = None) -> TestbenchResult:
-    """Locate every test-bench server directly and through its own tunnel."""
+    """Locate every test-bench server directly and through its own tunnel.
+
+    The servers stand on a copy of ``scenario``: adding their hosts and
+    hosting ASes to the caller's world would change every later audit
+    of it.
+    """
+    scenario = copy.deepcopy(scenario)
     rng = np.random.default_rng(seed)
     if algorithm is None:
         algorithm = CBGPlusPlus(scenario.calibrations, scenario.worldmap)

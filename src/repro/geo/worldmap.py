@@ -1,10 +1,9 @@
-"""The rasterised world: country/continent assignment on the analysis grid.
+"""The rasterised world: country assignment on the analysis grid.
 
 A :class:`WorldMap` binds a :class:`~repro.geo.countries.CountryRegistry`
 to a :class:`~repro.geo.grid.Grid` and precomputes, for every grid cell:
 
 * which country owns it (or ocean),
-* which continent that country belongs to,
 * whether it is "plausible terrain" for the paper's final clipping step
   (on land, south of 85°N, north of 60°S).
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..geodesy.constants import MAX_PLAUSIBLE_LATITUDE_DEG, MIN_PLAUSIBLE_LATITUDE_DEG
 from ..geodesy.greatcircle import haversine_km, haversine_term_km
-from .countries import CONTINENTS, Country, CountryRegistry
+from .countries import Country, CountryRegistry
 from .grid import Grid
 from .region import Region, pack_bits
 
@@ -74,7 +73,7 @@ def _min_cell_distance_km(grid: Grid, cells_a: np.ndarray,
 
 
 class WorldMap:
-    """Country and continent rasters over an analysis grid."""
+    """The country raster over an analysis grid."""
 
     def __init__(self, registry: Optional[CountryRegistry] = None,
                  grid: Optional[Grid] = None):
@@ -82,7 +81,6 @@ class WorldMap:
         self.grid = grid if grid is not None else Grid()
         self._countries: List[Country] = list(self.registry)
         self.country_raster = self._rasterize()
-        self.continent_raster = self._continent_raster()
         self.land_mask = self.country_raster != OCEAN
         self.plausibility_mask = self.land_mask & self.grid.latitude_band_mask(
             MIN_PLAUSIBLE_LATITUDE_DEG, MAX_PLAUSIBLE_LATITUDE_DEG)
@@ -166,15 +164,6 @@ class WorldMap:
                 break
         return raster
 
-    def _continent_raster(self) -> np.ndarray:
-        continent_index = {code: i for i, code in enumerate(CONTINENTS)}
-        lookup = np.full(len(self._countries) + 1, OCEAN, dtype=np.int8)
-        for idx, country in enumerate(self._countries):
-            lookup[idx] = continent_index[country.continent]
-        # country_raster has OCEAN == -1; np fancy-indexing with -1 hits the
-        # sentinel slot we appended at the end of `lookup`.
-        return lookup[self.country_raster]
-
     # -- point queries ----------------------------------------------------------
 
     def country_at(self, lat: float, lon: float) -> Optional[str]:
@@ -183,13 +172,6 @@ class WorldMap:
         if idx == OCEAN:
             return None
         return self._countries[idx].iso2
-
-    def continent_at(self, lat: float, lon: float) -> Optional[str]:
-        """Continent code at this point, or None over ocean."""
-        code = self.country_at(lat, lon)
-        if code is None:
-            return None
-        return self.registry.continent_of(code)
 
     def is_land(self, lat: float, lon: float) -> bool:
         return bool(self.land_mask[self.grid.cell_index(lat, lon)])
@@ -236,12 +218,6 @@ class WorldMap:
         idx = self.registry.index_of(iso2)
         return Region(self.grid, self.country_raster == idx)
 
-    def continent_region(self, continent: str) -> Region:
-        if continent not in CONTINENTS:
-            raise ValueError(f"unknown continent {continent!r}")
-        continent_idx = CONTINENTS.index(continent)
-        return Region(self.grid, self.continent_raster == continent_idx)
-
     def countries_covered(self, region: Region) -> List[str]:
         """ISO-2 codes of all countries the region overlaps, sorted by area overlap."""
         # Word-level early exit: an all-ocean region (common for blown-out
@@ -260,14 +236,6 @@ class WorldMap:
         ordered = covered[np.argsort(-totals[covered], kind="stable")]
         return [self._countries[int(idx)].iso2 for idx in ordered]
 
-    def continents_covered(self, region: Region) -> List[str]:
-        """Continent codes the region overlaps, most-covered first."""
-        seen: Dict[str, float] = {}
-        for code in self.countries_covered(region):
-            continent = self.registry.continent_of(code)
-            seen[continent] = seen.get(continent, 0.0) + 1.0
-        return sorted(seen, key=lambda c: -seen[c])
-
     def distance_to_country_km(self, region: Region, iso2: str) -> float:
         """Minimum distance between a region and a country's cells, km.
 
@@ -281,21 +249,6 @@ class WorldMap:
         return _min_cell_distance_km(
             self.grid, region.cell_indices(),
             np.flatnonzero(self.country_raster == idx))
-
-    def covers_country(self, region: Region, iso2: str) -> bool:
-        """Does the region overlap any cell of the country?"""
-        idx = self.registry.index_of(iso2)
-        return bool((self.country_words[idx] & region.words).any())
-
-    def within_country(self, region: Region, iso2: str) -> bool:
-        """Is every land cell of the region inside the country?
-
-        Ocean cells are ignored: a coastal disk that spills over water but
-        touches only one country's land is "entirely within" that country
-        for assessment purposes (matching the paper's land clipping).
-        """
-        covered = self.countries_covered(region)
-        return covered == [iso2] if covered else False
 
     # -- sampling -----------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -105,19 +105,3 @@ class IpdbPanel:
                              true_country: str) -> bool:
         """Does the database agree with the provider's claimed country?"""
         return self.lookup(database_name, server, true_country) == server.claimed_country
-
-    def agreement_rates(self, servers_with_truth) -> Dict[str, float]:
-        """Fraction of servers each database agrees with, over a fleet.
-
-        ``servers_with_truth`` is an iterable of (server, true_country).
-        """
-        servers = list(servers_with_truth)
-        if not servers:
-            raise ValueError("no servers supplied")
-        rates: Dict[str, float] = {}
-        for database in self.databases:
-            agreed = sum(
-                1 for server, true_country in servers
-                if self.agreement_with_claim(database.name, server, true_country))
-            rates[database.name] = agreed / len(servers)
-        return rates

@@ -20,7 +20,7 @@ so thin regions stay visible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -146,24 +146,6 @@ def region_map(worldmap: WorldMap, region: Region,
     for lat, lon in markers:
         canvas.draw_marker(lat, lon)
     return canvas.render()
-
-
-def honesty_strip(honesty_by_country: Dict[str, float],
-                  countries: Sequence[str]) -> str:
-    """A Figure 18-style one-line colour strip, in ASCII shades.
-
-    ``█`` fully backed, ``▓``/``▒``/``░`` partial, space fully false.
-    """
-    shades = " ░▒▓█"
-    cells = []
-    for code in countries:
-        rate = honesty_by_country.get(code)
-        if rate is None:
-            cells.append("·")
-            continue
-        index = min(len(shades) - 1, int(rate * (len(shades) - 1) + 0.5))
-        cells.append(shades[index])
-    return "".join(cells)
 
 
 def campaign_table(report) -> str:

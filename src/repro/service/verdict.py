@@ -373,10 +373,11 @@ class VerdictService:
 
     def resolve_target(self, target: Target) -> ProxyServer:
         """The fleet server a query target names (KeyError/TypeError if
-        none): a server, its fleet host id, or its hostname."""
+        none): a server, its fleet host id, or its hostname.  A ``bool``
+        is no host id, though Python counts it as an ``int``."""
         if isinstance(target, ProxyServer):
             return target
-        if isinstance(target, int):
+        if isinstance(target, int) and not isinstance(target, bool):
             server = self._by_host_id.get(target)
             if server is None:
                 raise KeyError(f"no fleet server with host id {target!r}")

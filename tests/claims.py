@@ -8,11 +8,10 @@ Rewrite the tables with ``PYTHONPATH=src python -m tests.claims``.
 
 The claims run on their own build of the default world, in declaration
 order, after its full-fleet audit.  Other tests change the shared
-``default_scenario()``: ``ext_testbench`` adds hosting ASes to its
-topology, which moves later audits' verdicts, and each
-``factory.create`` advances the host factory's generator.  A private
-world gives the same numbers whether the claims run alone or in the
-whole suite.  Each claim's ``result`` is shared with the structural
+``default_scenario()``: each ``factory.create`` advances the host
+factory's generator, which Fig 4's draw from the host factory reads.  A
+private world gives the same numbers whether the claims run alone or in
+the whole suite.  Each claim's ``result`` is shared with the structural
 tests in ``tests/test_experiments_*.py``: treat it as read-only.
 """
 
@@ -857,7 +856,6 @@ def ext_refinement(w: World):
        "locating known servers directly and through their tunnels bounds "
        "the error the indirection adds.")
 def ext_testbench(w: World):
-    # Last: standing the servers up adds hosting ASes to the topology.
     result = testbench_experiment.run(w.scenario, n_servers=10)
     return result, [
         row("worst indirect miss of 10 servers, km",
@@ -873,8 +871,8 @@ def ext_testbench(w: World):
 # -- the paper-scale run ------------------------------------------------------
 
 #: ``run_campaign(paper_scale_scenario(seed=0), shards=2, seed=0)`` is too
-#: slow for tier-1, so its row is pinned here; CI's campaign-scale job
-#: asserts that ``paper_scale_row`` of the live report equals it.
+#: slow for tier-1, so its row is pinned here; the paper-scale campaign
+#: bench asserts that ``paper_scale_row`` of the live report equals it.
 PAPER_SCALE = {"servers": 2429, "credible": 744, "uncertain": 478,
                "false": 1207, "reclassified": 506, "false_precision": "0.963",
                "eta": "0.499"}

@@ -255,12 +255,6 @@ def bool_countries_covered(worldmap: WorldMap,
     return [worldmap.countries()[int(idx)].iso2 for idx in ordered]
 
 
-def bool_covers_country(worldmap: WorldMap, mask: np.ndarray,
-                        iso2: str) -> bool:
-    idx = worldmap.registry.index_of(iso2)
-    return bool((worldmap.country_raster[mask] == idx).any())
-
-
 def bool_distance_to_country_km(worldmap: WorldMap, mask: np.ndarray,
                                 iso2: str) -> float:
     """Brute force: the minimum over every (region cell, country cell)."""

@@ -48,13 +48,19 @@ def perserver_lossy(scenario):
 
 
 class TestFleetVsPerServer:
-    def test_serial_records_byte_identical(self, scenario, perserver_lossy):
+    @pytest.mark.parametrize("profile", [None, "lossy-wan"])
+    def test_serial_records_byte_identical(self, scenario, perserver_lossy,
+                                           profile):
+        """On the shared default world, clean and under faults."""
+        reference = (perserver_lossy if profile else perserver_audit(
+            scenario, max_servers=N_SERVERS, seed=0))
         fleet = run_audit(scenario, max_servers=N_SERVERS, seed=0,
-                          fault_profile="lossy-wan")
-        assert record_signature(fleet) == record_signature(perserver_lossy)
-        assert fleet.eta == perserver_lossy.eta
-        assert fleet.verdict_counts() == perserver_lossy.verdict_counts()
-        assert fleet.reclassified == perserver_lossy.reclassified
+                          fault_profile=profile)
+        assert len(reference.records) == N_SERVERS
+        assert record_signature(fleet) == record_signature(reference)
+        assert fleet.eta == reference.eta
+        assert fleet.verdict_counts() == reference.verdict_counts()
+        assert fleet.reclassified == reference.reclassified
 
     def test_parallel_fleet_matches_too(self, scenario, perserver_lossy):
         fleet = run_audit(scenario, max_servers=N_SERVERS, seed=0,

@@ -7,7 +7,8 @@ The adversary and test-bench experiments run once, in their paper claims
 import numpy as np
 import pytest
 
-from repro.experiments import ext_adversary, ext_testbench
+from repro.experiments import ext_adversary, ext_testbench, run_audit
+from repro.experiments.scenario import SMALL_CROWD_QUOTAS, build_scenario
 from repro.netsim import NavigationTimingWebTool, WebTool
 from tests import claims
 
@@ -73,6 +74,26 @@ class TestTestbenchExperiment:
 
     def test_format_table(self, result):
         assert "direct" in ext_testbench.format_table(result)
+
+    def test_leaves_the_callers_world_alone(self):
+        """The servers stand on a copy: a run adds no AS or host to the
+        caller's world and moves none of its audit records."""
+        world = build_scenario(
+            seed=3, proxy_scale=0.1,
+            anchor_quotas={"EU": 12, "NA": 6, "AS": 4},
+            probe_quotas={"EU": 10, "NA": 6},
+            crowd_quotas=SMALL_CROWD_QUOTAS)
+
+        def state():
+            audit = run_audit(world, max_servers=20, seed=0)
+            return (world.network.topology_digest(),
+                    len(world.factory.hosts),
+                    [(r.server.host.host_id, r.region.packed_bytes(),
+                      r.assessment.verdict) for r in audit.records])
+
+        before = state()
+        ext_testbench.run(world, n_servers=4)
+        assert state() == before
 
 
 class TestNavigationTimingTool:

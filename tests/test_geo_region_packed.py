@@ -213,17 +213,6 @@ class TestQueriesMatchBooleanFormulas:
                     Region(ragged_worldmap.grid, mask))
                 == oracles.bool_countries_covered(ragged_worldmap, mask))
 
-    @given(seed=st.integers(0, 1000), density=DENSITIES,
-           country=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_covers_country(self, ragged_worldmap, seed, density, country):
-        codes = ragged_worldmap.registry.codes()
-        iso2 = codes[country % len(codes)]
-        mask = random_mask(ragged_worldmap.grid, seed, density)
-        assert (ragged_worldmap.covers_country(
-                    Region(ragged_worldmap.grid, mask), iso2)
-                == oracles.bool_covers_country(ragged_worldmap, mask, iso2))
-
     @given(seed=st.integers(0, 1000),
            density=st.sampled_from([0.0, 0.001, 0.005, 0.02]),
            country=st.integers(0, 10_000))

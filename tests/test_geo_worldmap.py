@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import CONTINENTS, Grid, Region, WorldMap
+from repro.geo import Grid, Region, WorldMap
 from repro.geodesy import SphericalDisk
 from repro.geodesy.greatcircle import haversine_km_vec
 
@@ -49,11 +49,6 @@ class TestPointQueries:
     def test_ocean_is_none(self, world):
         assert world.country_at(30.0, -40.0) is None       # mid-Atlantic
         assert world.country_at(-50.0, 100.0) is None      # southern Indian
-
-    def test_continent_at(self, world):
-        assert world.continent_at(52.52, 13.40) == "EU"
-        assert world.continent_at(35.68, 139.69) == "AS"
-        assert world.continent_at(30.0, -40.0) is None
 
     def test_is_land(self, world):
         assert world.is_land(52.52, 13.40)
@@ -117,18 +112,6 @@ class TestRasterConsistency:
         index = grid.cell_index(-70.0, 60.0)
         assert not world.plausibility_mask[index]
 
-    def test_continent_raster_consistent_with_country(self, world):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            index = int(rng.integers(world.grid.n_cells))
-            lat, lon = world.grid.cell_center(index)
-            country = world.country_at(lat, lon)
-            continent = world.continent_at(lat, lon)
-            if country is None:
-                assert continent is None
-            else:
-                assert continent == world.registry.continent_of(country)
-
 
 class TestRegionQueries:
     def test_countries_covered_sorted_by_overlap(self, world):
@@ -140,11 +123,10 @@ class TestRegionQueries:
 
     def test_covers_and_within(self, world):
         region = Region.from_disk(world.grid, SphericalDisk(52.5, 13.4, 150.0))
-        assert world.covers_country(region, "DE")
-        assert world.within_country(region, "DE")
+        assert world.countries_covered(region) == ["DE"]
         big = Region.from_disk(world.grid, SphericalDisk(52.5, 13.4, 900.0))
-        assert world.covers_country(big, "DE")
-        assert not world.within_country(big, "DE")
+        covered = world.countries_covered(big)
+        assert "DE" in covered and len(covered) > 1
 
     def test_within_country_ignores_ocean(self, world):
         # A coastal disk near Lisbon spills into the Atlantic but only
@@ -154,8 +136,10 @@ class TestRegionQueries:
         assert covered[0] == "PT"
 
     def test_continents_covered(self, world):
+        """The continent verdict reads the covered countries' continents."""
         region = Region.from_disk(world.grid, SphericalDisk(36.0, 30.0, 1500.0))
-        continents = world.continents_covered(region)
+        continents = {world.registry.continent_of(code)
+                      for code in world.countries_covered(region)}
         assert "EU" in continents and "AF" in continents
 
     def test_clip_to_plausible(self, world):
@@ -166,13 +150,6 @@ class TestRegionQueries:
     def test_country_region_unknown_code(self, world):
         with pytest.raises(KeyError):
             world.country_region("ZZ")
-
-    def test_continent_region(self, world):
-        europe = world.continent_region("EU")
-        assert europe.contains(48.86, 2.35)
-        assert not europe.contains(35.68, 139.69)
-        with pytest.raises(ValueError):
-            world.continent_region("XX")
 
     def test_distance_to_country(self, world):
         region = Region.from_disk(world.grid, SphericalDisk(48.86, 2.35, 200.0))
@@ -192,7 +169,7 @@ class TestRegionQueries:
         cells = np.flatnonzero(
             world.country_raster == world.registry.index_of(iso2))
         got = world.distance_to_country_km(region, iso2)
-        if region.is_empty or world.covers_country(region, iso2):
+        if region.is_empty or iso2 in world.countries_covered(region):
             return
         assert got == pairwise_min_km(world.grid, region.cell_indices(), cells)
 

@@ -50,18 +50,6 @@ class TestPanel:
                     db_name, s, scenario.true_country_of(s) or "US"))
             assert echoed / len(fakes) > 0.7
 
-    def test_agreement_rates_shape(self, scenario):
-        servers = [(s, scenario.true_country_of(s) or s.claimed_country)
-                   for s in scenario.all_servers()[:100]]
-        rates = scenario.ipdb.agreement_rates(servers)
-        assert set(rates) == set(scenario.ipdb.names())
-        for rate in rates.values():
-            assert 0.5 <= rate <= 1.0
-
-    def test_agreement_rates_empty_raises(self, scenario):
-        with pytest.raises(ValueError):
-            scenario.ipdb.agreement_rates([])
-
 
 class TestDatabaseValidation:
     def test_probability_bounds_enforced(self):

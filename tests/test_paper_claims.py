@@ -23,8 +23,8 @@ def test_experiments_md_is_the_render():
 
 
 def test_paper_scale_row_reads_a_campaign_report():
-    """CI's campaign-scale job compares ``paper_scale_row`` of its live
-    report with the pinned row; this keeps the reader in step with
+    """The paper-scale campaign bench compares ``paper_scale_row`` of its
+    live report with the pinned row; this keeps the reader in step with
     ``CampaignReport``."""
     pinned = claims.PAPER_SCALE
     report = CampaignReport(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geo import Region
 from repro.geodesy import SphericalDisk
-from repro.report import DEFAULT_HEIGHT, DEFAULT_WIDTH, MapCanvas, honesty_strip, region_map
+from repro.report import DEFAULT_HEIGHT, DEFAULT_WIDTH, MapCanvas, region_map
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +71,3 @@ class TestRegionMap:
         lines = rendered.splitlines()
         assert len(lines) == DEFAULT_HEIGHT + 2
         assert len(lines[0]) == DEFAULT_WIDTH + 2
-
-
-class TestHonestyStrip:
-    def test_shades_monotone(self):
-        strip = honesty_strip({"A1": 0.0, "B1": 0.3, "C1": 0.6, "D1": 1.0},
-                              ["A1", "B1", "C1", "D1"])
-        assert len(strip) == 4
-        assert strip[0] == " "
-        assert strip[-1] == "█"
-
-    def test_missing_country_is_dot(self):
-        assert honesty_strip({}, ["ZZ"]) == "·"

@@ -17,12 +17,13 @@ from repro.core import (
     PAPER_ETA,
     LandmarkHealthTracker,
     NoLandmarksAvailable,
-    RetryPolicy,
     TwoPhaseDriver,
     TwoPhaseSelector,
     Verdict,
 )
+from repro.core import resilience
 from repro.core.cbgpp import CBGPlusPlus
+from repro.core.resilience import backoff_ms
 from repro.experiments import AuditCheckpoint, CheckpointMismatch, run_audit
 from repro.netsim import MeasurementFailed
 
@@ -161,33 +162,44 @@ class TestLossyWanAcceptance:
 
 
 class TestResilienceComponents:
+    def test_retry_policy_defaults(self):
+        """The values every ProxyMeasurer retries and quarantines with."""
+        assert (resilience.MAX_ATTEMPTS, resilience.BACKOFF_BASE_MS,
+                resilience.BACKOFF_FACTOR, resilience.BACKOFF_JITTER,
+                resilience.CAMPAIGN_BUDGET_MS) == (3, 200.0, 2.0, 0.25,
+                                                   60_000.0)
+        assert (resilience.LOSS_THRESHOLD, resilience.MIN_PROBES) == (0.5, 6)
+
     def test_retry_policy_backoff_grows(self):
-        policy = RetryPolicy(backoff_base_ms=100.0, backoff_factor=2.0,
-                             backoff_jitter=0.0)
         rng = np.random.default_rng(0)
-        delays = [policy.backoff_ms(k, rng) for k in (1, 2, 3)]
-        assert delays == [100.0, 200.0, 400.0]
+        delays = [backoff_ms(k, rng) for k in (1, 2, 3)]
+        # 200, 400 and 800 ms, each within the ±25% jitter, so the
+        # bands never overlap.
+        assert 150.0 <= delays[0] <= 250.0
+        assert 300.0 <= delays[1] <= 500.0
+        assert 600.0 <= delays[2] <= 1000.0
+        with pytest.raises(ValueError):
+            backoff_ms(0, rng)
 
     def test_retry_policy_jitter_bounded(self):
-        policy = RetryPolicy(backoff_base_ms=100.0, backoff_factor=1.0,
-                             backoff_jitter=0.25)
         rng = np.random.default_rng(0)
-        for attempt in range(1, 20):
-            delay = policy.backoff_ms(attempt, rng)
-            assert 75.0 <= delay <= 125.0
+        delays = [backoff_ms(1, rng) for _ in range(200)]
+        assert 150.0 <= min(delays) < max(delays) <= 250.0
 
     def test_health_tracker_quarantines(self):
-        tracker = LandmarkHealthTracker(loss_threshold=0.5, min_probes=6)
+        tracker = LandmarkHealthTracker()
         tracker.record("lm", probes=3, losses=3)
-        assert not tracker.quarantined("lm")  # below min_probes
+        assert not tracker.quarantined("lm")  # below MIN_PROBES
         tracker.record("lm", probes=3, losses=3)
         assert tracker.quarantined("lm")
         assert "lm" in tracker.quarantined_names
 
     def test_health_tracker_spares_healthy(self):
-        tracker = LandmarkHealthTracker(loss_threshold=0.5, min_probes=6)
+        tracker = LandmarkHealthTracker()
         tracker.record("lm", probes=10, losses=2)
         assert not tracker.quarantined("lm")
+        tracker.record("half", probes=6, losses=3)  # not *more* than half
+        assert not tracker.quarantined("half")
 
     def test_phase2_raises_no_landmarks(self, scenario):
         selector = TwoPhaseSelector(scenario.atlas, seed=0)

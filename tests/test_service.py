@@ -444,6 +444,33 @@ class TestFrontend:
         assert replies[-1]["hostname"] == fleet[0].hostname
         assert stats.errors == 5 and stats.responses == 1
 
+    def test_boolean_host_is_unknown(self, service):
+        """JSON ``true``/``false`` are not host ids 1 and 0, though a
+        Python ``bool`` is an ``int``."""
+        lines = [b'{"host": true}\n', b'{"host": false}\n']
+
+        async def run():
+            frontend = ServiceFrontend(service, queue_max=8)
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(
+                frontend.serve(host="127.0.0.1", port=0, ready=ready))
+            await ready.wait()
+            reader, writer = await asyncio.open_connection(
+                *frontend.bound[:2])
+            writer.write(b"".join(lines))
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in lines]
+            writer.close()
+            server_task.cancel()
+            frontend.close()
+            return replies
+
+        replies = asyncio.run(run())
+        assert [reply.get("error_type") for reply in replies] == [
+            "unknown_host", "unknown_host"]
+        with pytest.raises(TypeError):
+            service.resolve_target(True)
+
     def test_oversized_line_answered_then_closed(self, service, fleet):
         """A 70 KiB line overruns asyncio's 64 KiB stream limit: it gets
         one typed error and a closed connection, and the drainer keeps
