@@ -17,6 +17,7 @@ rebuilds the world from a different seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -32,6 +33,21 @@ def _count(minimum: int):
                 f"must be >= {minimum}, got {value}")
         return value
     return count
+
+
+def _degrees(low: float, high: float):
+    """An argparse type: a coordinate in ``[low, high]`` degrees.
+
+    The ranges are ``validate_latlon``'s, so a bad coordinate is a usage
+    error before any world is built.
+    """
+    def degrees(text: str) -> float:
+        value = float(text)  # argparse reports "invalid degrees value"
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(
+                f"must be within [{low:g}, {high:g}], got {text}")
+        return value
+    return degrees
 
 
 def _scenario(args):
@@ -108,8 +124,13 @@ def _cmd_campaign(args) -> int:
         print(f"--shard-index must be in [0, {shards}) for --shards "
               f"{shards}, got {args.shard_index}", file=sys.stderr)
         return 2
-    plan = (DeploymentPlan.from_file(args.plan) if args.plan
-            else DeploymentPlan())
+    try:
+        plan = (DeploymentPlan.from_file(args.plan) if args.plan
+                else DeploymentPlan())
+    except (OSError, ValueError) as error:
+        reason = error.strerror if isinstance(error, OSError) else error
+        print(f"repro: bad plan {args.plan}: {reason}", file=sys.stderr)
+        return 2
     scenario = (paper_scale_scenario(seed=args.seed) if args.paper_scale
                 else _scenario(args))
     if args.shard_index is not None:
@@ -357,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.set_defaults(func=_cmd_campaign)
 
     locate = commands.add_parser("locate", help="geolocate a coordinate")
-    locate.add_argument("lat", type=float)
-    locate.add_argument("lon", type=float)
+    locate.add_argument("lat", type=_degrees(-90, 90))
+    locate.add_argument("lon", type=_degrees(-180, 360))
     locate.add_argument("--algorithm", default="cbg++",
                         choices=["cbg", "cbg++", "quasi-octant", "spotter"])
     locate.add_argument("--map", action="store_true",

@@ -61,10 +61,6 @@ class ClaimAssessment:
     def is_credible(self) -> bool:
         return self.verdict is Verdict.CREDIBLE
 
-    @property
-    def is_uncertain(self) -> bool:
-        return self.verdict is Verdict.UNCERTAIN
-
     def category(self) -> str:
         """The Figure 17 bar category this assessment falls into."""
         if self.verdict is Verdict.UNLOCATABLE:

@@ -71,9 +71,6 @@ class CalibrationSet:
         except KeyError:
             raise KeyError(f"unknown landmark {name!r}") from None
 
-    def has_landmark(self, name: str) -> bool:
-        return name in self._landmarks
-
     def _calibration_points(self, name: str):
         return self.atlas.calibration_data(self.landmark(name))
 

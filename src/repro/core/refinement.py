@@ -53,19 +53,6 @@ class RefinementResult:
     rounds: List[RefinementRound] = field(default_factory=list)
     total_measurements: int = 0
 
-    @property
-    def initial_area_km2(self) -> float:
-        if not self.rounds:
-            return self.prediction.area_km2()
-        return self.rounds[0].area_before_km2
-
-    @property
-    def total_shrinkage(self) -> float:
-        initial = self.initial_area_km2
-        if initial <= 0:
-            return 0.0
-        return 1.0 - self.prediction.area_km2() / initial
-
 
 class IterativeRefiner:
     """Shrinks a prediction by measuring landmarks near it.

@@ -89,10 +89,6 @@ class LandmarkHealthTracker:
         health = self._health.get(name)
         return health is not None and health.quarantined
 
-    @property
-    def quarantined_names(self) -> list:
-        return sorted(name for name, h in self._health.items() if h.quarantined)
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-landmark probe/loss/quarantine counts, for reporting."""
         return {name: {"probes": h.probes, "losses": h.losses,

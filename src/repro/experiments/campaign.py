@@ -35,7 +35,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.disambiguation import AuditRecord, Disambiguator
 from ..core.proxy_adapter import EtaEstimate
@@ -52,6 +52,47 @@ MERGED_JOURNAL = "campaign.jsonl"
 
 
 # -- deployment plans ---------------------------------------------------------
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+#: Per plan-file object: each key's expected value, and its test.
+_Fields = Dict[str, Tuple[str, Callable[[Any], bool]]]
+_TEMPLATE_FIELDS: _Fields = {
+    "provider": ("a string", lambda value: isinstance(value, str)),
+    "countries": ("a list of country codes", lambda value: isinstance(
+        value, list) and all(isinstance(code, str) for code in value)),
+    "max_per_country": ("a count >= 0", _is_count),
+}
+_PLAN_FIELDS: _Fields = {
+    "name": ("a string", lambda value: isinstance(value, str)),
+    "templates": ("a list", lambda value: isinstance(value, list)),
+    "max_servers": ("a count >= 0", _is_count),
+}
+
+
+def _checked(data: Any, fields: _Fields, what: str) -> Dict[str, Any]:
+    """``data`` if it is a JSON object of known keys and valid values.
+
+    ``null`` stands for an absent key.  Raises ``ValueError`` naming the
+    first fault, so a typo'd key or a mistyped count never silently
+    widens or empties the fleet.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{what} must be a JSON object, got {type(data).__name__}")
+    for key, value in data.items():
+        if key not in fields:
+            raise ValueError(f"{what} has unknown key {key!r}; "
+                             f"expected one of {sorted(fields)}")
+        expected, valid = fields[key]
+        if value is not None and not valid(value):
+            raise ValueError(
+                f"{what} key {key!r} must be {expected}, got {value!r}")
+    return data
+
 
 @dataclass(frozen=True)
 class FleetTemplate:
@@ -83,7 +124,8 @@ class FleetTemplate:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FleetTemplate":
+    def from_dict(cls, data: Any) -> "FleetTemplate":
+        data = _checked(data, _TEMPLATE_FIELDS, "a plan template")
         countries = data.get("countries")
         return cls(
             provider=data.get("provider"),
@@ -144,11 +186,14 @@ class DeploymentPlan:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DeploymentPlan":
+    def from_dict(cls, data: Any) -> "DeploymentPlan":
+        """The plan a JSON object describes; ``ValueError`` if malformed."""
+        data = _checked(data, _PLAN_FIELDS, "a deployment plan")
         templates = tuple(FleetTemplate.from_dict(entry)
-                          for entry in data.get("templates", []))
+                          for entry in data.get("templates") or [])
+        name = data.get("name")
         return cls(
-            name=data.get("name", "unnamed"),
+            name="unnamed" if name is None else name,
             templates=templates or (FleetTemplate(),),
             max_servers=data.get("max_servers"),
         )

@@ -402,7 +402,7 @@ class AuditCheckpoint:
         are remapped by the running offset, so the merged file carries
         globally ascending indices.  Every shard header must agree with
         the campaign header on format, seed, profile, and grid, and every
-        shard must be finalized and pass the record rule.  Only the
+        shard journal must exist, be finalized and pass the record rule.  Only the
         ``{"i": <index>, `` prefix the scan has just verified is
         rewritten; the rest of each line is copied as is.  The merge
         replaces the journal atomically like :meth:`finalize`, and its
@@ -422,6 +422,10 @@ class AuditCheckpoint:
                             f"{shard.path}: shard journal {key!r} "
                             f"({shard._header[key]!r}) does not match the "
                             f"campaign ({self._header[key]!r})")
+                if not os.path.exists(shard.path):
+                    raise CheckpointMismatch(
+                        f"{shard.path}: no shard journal to merge; run "
+                        "every shard before merging")
                 with open(shard.path, "rb") as src:
                     complete = shard._read_header(src)[1]
                     if complete is None:

@@ -33,12 +33,6 @@ class EtaFigure:
     def n_proxies(self) -> int:
         return len(self.pairs)
 
-    def residual_quantiles(self, qs=(0.05, 0.5, 0.95)) -> List[Tuple[float, float]]:
-        x = np.array([p[0] for p in self.pairs])
-        y = np.array([p[1] for p in self.pairs])
-        residuals = self.robust_fit.residuals(x, y)
-        return [(q, float(np.quantile(residuals, q))) for q in qs]
-
 
 def run(scenario: Scenario, seed: int = 0,
         samples_per_proxy: int = 3) -> EtaFigure:

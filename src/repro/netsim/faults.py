@@ -184,10 +184,6 @@ class FaultInjector:
             self._outages[ordered[index]] = (
                 start, start + self.profile.outage_fraction)
 
-    @property
-    def outage_schedule(self) -> Dict[int, Tuple[float, float]]:
-        return dict(self._outages)
-
     def campaign_time(self, host_id: int) -> float:
         """When (in [0, 1) campaign time) this target's audit happens.
 

@@ -73,11 +73,6 @@ class HostFactory:
                                         self._city_lats, self._city_lons)
         return self.topology.cities[int(np.argmin(distances))]
 
-    def nearest_city_reference(self, lat: float, lon: float) -> City:
-        """The original scalar nearest-city loop (regression oracle)."""
-        return min(self.topology.cities,
-                   key=lambda c: haversine_km(lat, lon, c.lat, c.lon))
-
     def create(self, lat: float, lon: float, name: Optional[str] = None,
                os: str = "linux", responds_to_ping: bool = True,
                listens_on_port_80: Optional[bool] = None,

@@ -46,10 +46,6 @@ class TracerouteResult:
     hops: List[Hop]
     reached_destination: bool
 
-    @property
-    def visible_hops(self) -> int:
-        return sum(1 for hop in self.hops if hop.responded)
-
 
 #: Fraction of transit routers that answer time-exceeded probes at all.
 ROUTER_RESPONSE_RATE = 0.85

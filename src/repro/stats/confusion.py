@@ -101,13 +101,6 @@ class ConfusionMatrix(LabelMatrix):
             raise ValueError("empty confusion matrix")
         return float(np.trace(self.counts)) / total
 
-    def recall(self, label: str) -> float:
-        i = self._idx(label)
-        row_total = int(self.counts[i].sum())
-        if row_total == 0:
-            return 0.0
-        return int(self.counts[i, i]) / row_total
-
     def precision(self, label: str) -> float:
         i = self._idx(label)
         col_total = int(self.counts[:, i].sum())

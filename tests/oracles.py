@@ -21,7 +21,9 @@ faster way, kept here so tests can pin the fast form bit for bit:
   aggregates and sweep a fleet of panels at once;
 * :func:`scalar_rtt_sample_ms` — one RTT sample drawn with scalar
   generator calls, which ``Network.rtt_sample_ms`` now takes as the
-  one-sample case of ``rtt_samples_ms``.
+  one-sample case of ``rtt_samples_ms``;
+* :func:`scalar_nearest_city` — the nearest-city loop that
+  ``HostFactory.nearest_city`` runs as one vectorised distance row.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.experiments.audit import AuditResult
 from repro.geo.grid import Grid
 from repro.geo.region import Region, pack_bits, unpack_bits
 from repro.geo.worldmap import OCEAN, WorldMap
-from repro.geodesy.greatcircle import haversine_km_vec
+from repro.geodesy.greatcircle import haversine_km, haversine_km_vec
 from repro.netsim.faults import (FaultInjector, MeasurementFailed,
                                  resolve_fault_profile)
 from repro.netsim.network import Unreachable
@@ -355,3 +357,12 @@ def scalar_rtt_sample_ms(network, a, b, rng: np.random.Generator) -> float:
                 or faults.landmark_down(b.host_id, at))
         sample = float(faults.afflict_burst(np.array([sample]), down, rng)[0])
     return sample
+
+
+# -- the scalar nearest city ---------------------------------------------------
+
+def scalar_nearest_city(factory, lat: float, lon: float):
+    """The city closest to ``(lat, lon)``, one haversine call per city;
+    ``min`` keeps the first of equally distant cities."""
+    return min(factory.topology.cities,
+               key=lambda city: haversine_km(lat, lon, city.lat, city.lon))

@@ -44,6 +44,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coordinates", [["95", "10"], ["nan", "10"],
+                                             ["10", "400"]])
+    def test_bad_coordinate_is_usage_error(self, coordinates, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["locate", *coordinates])
+        assert exit_info.value.code == 2
+        assert "must be within" in capsys.readouterr().err
+
     def test_zero_servers_accepted(self):
         assert build_parser().parse_args(["audit", "--servers", "0"]) \
             .servers == 0
@@ -139,6 +147,32 @@ class TestCampaignCommand:
                      "--journal-dir", str(tmp_path)]) == 2
         assert "--shard-index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"max_server": 3}',                      # a typo'd key
+        '{"templates": [{"countries": "DE"}]}',   # a string, not a list
+        '{"max_servers": true}',                  # a bool is no count
+        '{"templates": [{"max_per_country": -1}]}',
+        '{"max_servers": -3}',
+        '{"templates": "A"}',
+        '[]',
+        '{"name": ',                              # not JSON
+        None,                                     # no such file
+    ])
+    def test_bad_plan_is_one_line(self, capsys, tmp_path, monkeypatch,
+                                  text):
+        """Rejected before any scenario is built, naming the plan file."""
+        import repro.cli
+
+        def no_build(args):
+            raise AssertionError("scenario built for a bad plan")
+        monkeypatch.setattr(repro.cli, "_scenario", no_build)
+        plan = tmp_path / "plan.json"
+        if text is not None:
+            plan.write_text(text, encoding="utf-8")
+        assert main(["campaign", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(plan) in err
+
     def test_shard_index_and_merge_exclusive(self, scenario, capsys,
                                              tmp_path):
         assert main(["campaign", "--shard-index", "0", "--merge",
@@ -161,6 +195,19 @@ class TestCampaignCommand:
                      "--journal-dir", str(directory)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(shard) in err
+
+    def test_merge_with_a_missing_shard_is_one_line(self, scenario, capsys,
+                                                    tmp_path):
+        plan, directory = self._plan_file(tmp_path), tmp_path / "journals"
+        assert main(["campaign", "--plan", plan, "--shards", "2",
+                     "--shard-index", "0", "--journal-dir", str(directory)]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "--plan", plan, "--shards", "2", "--merge",
+                     "--journal-dir", str(directory)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(directory / "shard-0001-of-0002.jsonl") in err
+        assert not list(directory.glob("*.tmp"))
 
     def test_resume_over_a_foreign_journal_is_one_line(self, scenario, capsys,
                                                        tmp_path):

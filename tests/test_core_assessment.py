@@ -138,4 +138,4 @@ class TestCategoriesAndTallies:
                                       ContinentVerdict.CREDIBLE)
         assert assessment.is_credible
         assert not assessment.is_false
-        assert not assessment.is_uncertain
+        assert assessment.verdict is not Verdict.UNCERTAIN

@@ -10,8 +10,6 @@ class TestCalibrationSet:
         calibrations = scenario.calibrations
         name = scenario.atlas.anchors[0].name
         assert calibrations.landmark(name).name == name
-        assert calibrations.has_landmark(name)
-        assert not calibrations.has_landmark("nope")
         with pytest.raises(KeyError):
             calibrations.landmark("nope")
 

@@ -39,7 +39,6 @@ class TestRefiner:
                         + initial.phase1_observations)
         result = refiner.refine(initial.prediction, observations, measure)
         assert result.prediction.area_km2() <= initial.prediction.area_km2()
-        assert result.total_shrinkage >= 0.0
 
     def test_truth_still_covered(self, setup):
         scenario, algorithm, target, measure, initial = setup

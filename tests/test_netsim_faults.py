@@ -57,9 +57,9 @@ class TestFaultInjectorDeterminism:
         a.schedule_outages(hosts)
         b = FaultInjector(profile, seed=7)
         b.schedule_outages(list(reversed(hosts)))
-        assert a.outage_schedule == b.outage_schedule
-        assert len(a.outage_schedule) == profile.n_landmark_outages
-        for start, end in a.outage_schedule.values():
+        assert a._outages == b._outages
+        assert len(a._outages) == profile.n_landmark_outages
+        for start, end in a._outages.values():
             assert 0.0 <= start < end <= 1.0
             assert end - start == pytest.approx(profile.outage_fraction)
 
@@ -70,7 +70,7 @@ class TestFaultInjectorDeterminism:
         a.schedule_outages(hosts)
         b = FaultInjector(profile, seed=8)
         b.schedule_outages(hosts)
-        assert a.outage_schedule != b.outage_schedule
+        assert a._outages != b._outages
 
     def test_campaign_time_pure(self):
         injector = FaultInjector(FAULT_PROFILES["lossy-wan"], seed=3)

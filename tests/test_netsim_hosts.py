@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import Host, HostFactory, build_cities, build_topology
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ class TestVectorisedNearestCity:
             lat = float(rng.uniform(-89.0, 89.0))
             lon = float(rng.uniform(-179.0, 179.0))
             assert (factory.nearest_city(lat, lon)
-                    == factory.nearest_city_reference(lat, lon))
+                    == oracles.scalar_nearest_city(factory, lat, lon))
 
     def test_exactly_on_a_city(self, factory):
         for city in factory.topology.cities[::17]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import largest_consistent_subset
+from repro.core import Verdict, largest_consistent_subset
 from repro.core.calibration import CbgCalibration
 from repro.experiments import run_audit
 from repro.geo import Grid
@@ -166,7 +166,7 @@ class TestAuditRecordInvariants:
 
     def test_uncertain_implies_multiple_candidates(self, audit):
         for record in audit.records:
-            if record.assessment.is_uncertain:
+            if record.assessment.verdict is Verdict.UNCERTAIN:
                 assert len(set(record.assessment.countries_covered)) >= 2
 
     def test_credible_implies_claim_covered(self, audit):

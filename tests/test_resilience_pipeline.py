@@ -192,7 +192,7 @@ class TestResilienceComponents:
         assert not tracker.quarantined("lm")  # below MIN_PROBES
         tracker.record("lm", probes=3, losses=3)
         assert tracker.quarantined("lm")
-        assert "lm" in tracker.quarantined_names
+        assert tracker.summary()["lm"]["quarantined"]
 
     def test_health_tracker_spares_healthy(self):
         tracker = LandmarkHealthTracker()

@@ -1,1 +1,1 @@
-"""Repository tooling: benchmarks comparison, reprolint, typecheck gate."""
+"""Repository tooling: reprolint and the typecheck gate."""

@@ -2,14 +2,15 @@
 
 A static analyser that encodes this reproduction's determinism
 contract as machine-checked rules.  Per-file AST rules (R001–R009)
-walk each module in isolation; whole-program rules (R010–R013, built
-on ``callgraph.py``/``dataflow.py``) track RNG generators, wall-clock
-values, and cache-key tuples across function and module boundaries.
-See DESIGN.md "Determinism contract & static analysis".  Run it as::
+walk each module in isolation; whole-program rules (R010, R012, R013,
+built on ``callgraph.py``/``dataflow.py``) track RNG generators,
+wall-clock values, blocking calls and cache-key tuples across function
+and module boundaries.  See DESIGN.md "Determinism contract & static
+analysis".  Run it as::
 
     python -m tools.reprolint src/
-    python -m tools.reprolint src/ --cache .reprolint-cache.json  # warm runs reparse only changed files
-    python -m tools.reprolint src/ --sarif reprolint.sarif        # code-scanning upload
+    python -m tools.reprolint src/ --json reprolint.json --sarif reprolint.sarif
+    python -m tools.reprolint --list-rules
 
 Diagnostics print as ``file:line:col: RULE message`` and the process
 exits non-zero when any active (unsuppressed) diagnostic remains; a
@@ -20,9 +21,7 @@ Intentional exceptions are suppressed inline with::
 
 A suppression **must** carry a parenthesised reason; a reasonless (or
 unknown-rule) suppression is itself a diagnostic (R000) and does not
-silence anything.  Pre-existing diagnostics can be grandfathered into
-a committed baseline (``--baseline`` / ``--write-baseline``); entries
-that stop firing are stale drift and fail the run.
+silence anything.
 """
 
 from .callgraph import ModuleFacts, Project, extract_module_facts  # noqa: F401
@@ -32,15 +31,11 @@ from .engine import (  # noqa: F401  (public API re-exports)
     LintResult,
     Suppression,
     analyze_paths,
-    apply_baseline,
-    lint_paths,
     lint_source,
-    load_baseline,
     main,
     render,
     report_json,
     sarif_report,
-    write_baseline,
 )
 from .rules import (  # noqa: F401
     ALL_RULES,

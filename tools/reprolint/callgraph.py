@@ -1,18 +1,20 @@
 """Whole-program layer: per-module facts, symbol table, call graph.
 
-reprolint v1 ran each rule over one module's AST; the bugs PRs 6-9
-risk introducing — an RNG generator leaking into a fork-pool worker, a
-blocking call three frames below a coroutine, a cache keyed without the
-epoch digest — are invisible per file.  This module extracts a compact,
-JSON-round-trippable :class:`ModuleFacts` summary from each module and
+Some contract breaks are invisible per file — an RNG generator leaking
+into a fork-pool worker, a blocking call three frames below a
+coroutine, a cache keyed without the epoch digest.  This module
+extracts a compact :class:`ModuleFacts` summary from each module and
 assembles the summaries into a :class:`Project`: a project-wide symbol
-table (with ``__init__`` re-export chasing), an import graph, and a
-call graph with best-effort method resolution.
+table (with ``__init__`` re-export chasing) and a call graph with
+best-effort resolution.  The project-level analyses
+(``dataflow.py``) consume facts, never ASTs.
 
-Facts, not ASTs, are the unit of caching: the incremental engine stores
-each file's facts keyed by content digest, so a warm run re-parses only
-changed files while the project-level analyses (tools/reprolint/
-dataflow.py) always see the whole program.
+A call resolves when its callee is one of the module's own functions
+or classes, a name imported directly, a method on ``self`` (walked up
+the class's bases), or a method on a local, module global or ``self``
+attribute whose class is known from an annotation or a constructor
+call.  Attributes of parameters (``context.driver.collect``) and of
+untyped values do not resolve, so the call graph stops there.
 
 Everything here is stdlib-only, like the rest of reprolint.
 """
@@ -21,23 +23,10 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-#: Facts-format version; bump to invalidate incremental caches whenever
-#: extraction output changes shape or semantics.
-FACTS_VERSION = 1
-
-#: Wall-clock reads the dataflow layer tracks across function
-#: boundaries (same catalogue as the per-file R002 rule).
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
+from .rules import WALL_CLOCK_CALLS
 
 #: Blocking socket-module entry points (a bare ``socket.socket()``
 #: constructor does not block; connecting/resolving does).
@@ -57,18 +46,6 @@ _POOL_SUBMIT_METHODS = frozenset({
     "submit", "apply_async", "map", "imap", "imap_unordered",
     "map_async", "starmap", "starmap_async",
 })
-
-#: In-place mutation methods on containers R011 watches.
-_CONTAINER_MUTATORS = frozenset({
-    "append", "appendleft", "add", "setdefault", "extend", "update",
-    "insert", "pop", "popitem", "clear", "remove", "discard",
-})
-
-#: Identifier tokens marking an epoch/content-digest key component.
-EPOCH_TOKENS = ("epoch", "digest", "token")
-
-#: Identifier tokens marking a host-identity key component.
-HOST_TOKENS = ("host_id", "hostid", "hostname", "server_id", "host")
 
 
 def module_name_for(path: str) -> str:
@@ -114,17 +91,6 @@ class SiteFact:
     detail: str
 
 
-@dataclass(frozen=True)
-class WriteFact:
-    """One in-place write to a ``self.X`` or module-level container."""
-
-    #: ``self.X`` or a bare module-level name.
-    key: str
-    lineno: int
-    col: int
-    how: str  # "subscript" | mutator method name
-
-
 @dataclass
 class FunctionFact:
     """Everything the dataflow layer needs to know about one function."""
@@ -150,17 +116,13 @@ class FunctionFact:
     return_calls: List[str] = field(default_factory=list)
     #: Names read but not bound locally (closure/global references).
     free_loads: Tuple[str, ...] = ()
-    #: In-place container writes (self.X / module-level names).
-    container_writes: List[WriteFact] = field(default_factory=list)
-    #: Names declared ``global`` in this function.
-    global_decls: Tuple[str, ...] = ()
     #: Direct blocking primitives: detail is a human-readable tag.
     blocking: List[SiteFact] = field(default_factory=list)
 
 
 @dataclass
 class ClassFact:
-    """One class: bases for MRO walks, inferred instance-attr types."""
+    """One class: bases for MRO walks, inferred ``self.<attr>`` types."""
 
     name: str
     lineno: int
@@ -193,7 +155,7 @@ class RngAssignFact:
 
 @dataclass
 class ModuleFacts:
-    """The cacheable whole-program summary of one module."""
+    """The whole-program summary of one module."""
 
     path: str
     scope_path: str
@@ -203,55 +165,9 @@ class ModuleFacts:
     functions: List[FunctionFact] = field(default_factory=list)
     classes: List[ClassFact] = field(default_factory=list)
     module_rng_assigns: List[RngAssignFact] = field(default_factory=list)
-    #: Module-level names bound to (possibly non-empty) containers.
-    module_containers: Tuple[str, ...] = ()
     #: Module-level annotated names -> inferred dotted type.
     global_types: Dict[str, str] = field(default_factory=dict)
     caches: List[CacheFact] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleFacts":
-        facts = cls(path=data["path"], scope_path=data["scope_path"],
-                    module=data["module"],
-                    imports=dict(data.get("imports", {})),
-                    top_symbols=tuple(data.get("top_symbols", ())),
-                    module_containers=tuple(data.get("module_containers", ())),
-                    global_types=dict(data.get("global_types", {})))
-        for fn in data.get("functions", []):
-            facts.functions.append(FunctionFact(
-                qualname=fn["qualname"], lineno=fn["lineno"], col=fn["col"],
-                is_async=fn.get("is_async", False), cls=fn.get("cls"),
-                parent=fn.get("parent"),
-                params=tuple(fn.get("params", ())),
-                calls=[CallFact(**c) for c in fn.get("calls", [])],
-                rng_locals=dict(fn.get("rng_locals", {})),
-                returns_rng=fn.get("returns_rng"),
-                wallclock_reads=[SiteFact(**s)
-                                 for s in fn.get("wallclock_reads", [])],
-                returns_wallclock=list(fn.get("returns_wallclock", [])),
-                return_calls=list(fn.get("return_calls", [])),
-                free_loads=tuple(fn.get("free_loads", ())),
-                container_writes=[WriteFact(**w)
-                                  for w in fn.get("container_writes", [])],
-                global_decls=tuple(fn.get("global_decls", ())),
-                blocking=[SiteFact(**s) for s in fn.get("blocking", [])]))
-        for kls in data.get("classes", []):
-            facts.classes.append(ClassFact(
-                name=kls["name"], lineno=kls["lineno"],
-                bases=tuple(kls.get("bases", ())),
-                attr_types=dict(kls.get("attr_types", {}))))
-        for assign in data.get("module_rng_assigns", []):
-            facts.module_rng_assigns.append(RngAssignFact(**assign))
-        for cache in data.get("caches", []):
-            facts.caches.append(CacheFact(
-                key=cache["key"], lineno=cache["lineno"], col=cache["col"],
-                kind=cache["kind"],
-                key_shapes=[list(shape) if shape is not None else None
-                            for shape in cache.get("key_shapes", [])]))
-        return facts
 
 
 # -- extraction helpers -------------------------------------------------------
@@ -391,26 +307,19 @@ class _ModuleExtractor(ast.NodeVisitor):
 
     def _collect_top_level(self, tree: ast.Module) -> None:
         symbols: List[str] = []
-        containers: List[str] = []
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 symbols.append(node.name)
-            targets, value = self._assign_parts(node)
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                symbols.append(target.id)
-                if isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
-                        isinstance(value, ast.Call)):
-                    containers.append(target.id)
+            targets, _ = self._assign_parts(node)
+            symbols.extend(target.id for target in targets
+                           if isinstance(target, ast.Name))
             if isinstance(node, ast.AnnAssign) and isinstance(
                     node.target, ast.Name):
                 inferred = _type_leaf(node.annotation)
                 if inferred:
                     self.facts.global_types[node.target.id] = inferred
         self.facts.top_symbols = tuple(dict.fromkeys(symbols))
-        self.facts.module_containers = tuple(dict.fromkeys(containers))
 
     @staticmethod
     def _assign_parts(node: ast.stmt
@@ -531,12 +440,7 @@ class _ModuleExtractor(ast.NodeVisitor):
         for statement in node.body:
             self.visit(statement)
         fact.free_loads = tuple(sorted(state.loads - state.bound))
-        fact.global_decls = tuple(sorted(state.globals_declared))
         self._function_stack.pop()
-
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._function_stack:
-            self._function_stack[-1].globals_declared.update(node.names)
 
     def visit_Name(self, node: ast.Name) -> None:
         if self._function_stack:
@@ -559,7 +463,7 @@ class _ModuleExtractor(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if isinstance(node.target, ast.Subscript):
-            self._record_subscript_write(node.target)
+            self._record_subscript_key(node.target)
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -584,7 +488,7 @@ class _ModuleExtractor(ast.NodeVisitor):
         state = self._function_stack[-1] if self._function_stack else None
         for target in targets:
             if isinstance(target, ast.Subscript):
-                self._record_subscript_write(target)
+                self._record_subscript_key(target)
         rng = self._rng_source(value)
         for target in targets:
             name_target = isinstance(target, ast.Name)
@@ -596,13 +500,24 @@ class _ModuleExtractor(ast.NodeVisitor):
                         name=target.id, lineno=value.lineno,
                         col=value.col_offset, source=rng))
             self._maybe_cache_construction(target, value)
-            if state is not None and name_target:
-                self._infer_local_type(state, target.id, value, annotation)
+            if state is None:
+                continue
+            inferred = self._value_type(state, value, annotation)
+            if name_target:
+                if inferred:
+                    state.local_types[target.id] = inferred
                 self._track_blocking_locals(state, target.id, value)
+            elif (inferred and self._class_stack
+                  and isinstance(target, ast.Attribute)
+                  and isinstance(target.value, ast.Name)
+                  and target.value.id == "self"):
+                # self.service = service: later self.service.<m>() calls
+                # in this class resolve to the attribute's class.
+                self._class_stack[-1].attr_types[target.attr] = inferred
 
-    def _infer_local_type(self, state: "_FunctionState", name: str,
-                          value: ast.expr,
-                          annotation: Optional[ast.expr]) -> None:
+    def _value_type(self, state: "_FunctionState", value: ast.expr,
+                    annotation: Optional[ast.expr]) -> Optional[str]:
+        """The class an assigned value is known to have, if any."""
         inferred = self._resolve_type_expr(annotation)
         if inferred is None and isinstance(value, ast.Call):
             callee = self._resolve_callable(value.func)
@@ -612,8 +527,7 @@ class _ModuleExtractor(ast.NodeVisitor):
         if inferred is None and isinstance(value, ast.Name):
             inferred = state.local_types.get(value.id) \
                 or self.facts.global_types.get(value.id)
-        if inferred:
-            state.local_types[name] = inferred
+        return inferred
 
     def _track_blocking_locals(self, state: "_FunctionState", name: str,
                                value: ast.expr) -> None:
@@ -712,16 +626,10 @@ class _ModuleExtractor(ast.NodeVisitor):
             self._cache_index[key] = fact
             self.facts.caches.append(fact)
 
-    def _record_subscript_write(self, target: ast.Subscript) -> None:
+    def _record_subscript_key(self, target: ast.Subscript) -> None:
         key = _container_key(target.value)
-        if key is None or not self._function_stack:
-            return
-        state = self._function_stack[-1]
-        state.fact.container_writes.append(WriteFact(
-            key=key, lineno=target.lineno, col=target.col_offset,
-            how="subscript"))
-        cache = self._cache_index.get(key)
-        if cache is not None:
+        cache = self._cache_index.get(key) if key else None
+        if cache is not None and self._function_stack:
             cache.key_shapes.append(_tuple_leaves(target.slice))
 
     def _analyze_return(self, value: ast.expr) -> None:
@@ -731,7 +639,6 @@ class _ModuleExtractor(ast.NodeVisitor):
             if isinstance(node, ast.Call):
                 callee = self._resolve_callable(node.func)
                 if callee in WALL_CLOCK_CALLS:
-                    clock = callee.split(".")[-1]
                     if callee not in fact.returns_wallclock:
                         fact.returns_wallclock.append(callee)
                 elif callee is not None and node is value:
@@ -863,7 +770,6 @@ class _FunctionState:
         self.wallclock_locals: Dict[str, Set[str]] = {}
         self.loads: Set[str] = set()
         self.bound: Set[str] = set(fact.params)
-        self.globals_declared: Set[str] = set()
         self.pending_assign_target: Optional[str] = None
         #: nested function name -> its module-relative qualname
         self.local_funcs: Dict[str, str] = {}
@@ -1018,32 +924,6 @@ class Project:
             return self.resolve_method(resolved, "__init__")
         return None
 
-    # -- call-graph reachability ----------------------------------------------
-
-    def callers_closure(self, roots: Set[str],
-                        kinds: Tuple[str, ...] = ("call",)) -> Set[str]:
-        """All functions reachable *from* the roots via matching edges."""
-        edges: Dict[str, List[str]] = {}
-        for qualname, fn in self.functions.items():
-            module = self.module_of[qualname]
-            out: List[str] = []
-            for call in fn.calls:
-                if call.kind not in kinds:
-                    continue
-                target = self.resolve_call(module, call)
-                if target is not None:
-                    out.append(target)
-            edges[qualname] = out
-        reachable = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            current = stack.pop()
-            if current in reachable:
-                continue
-            reachable.add(current)
-            stack.extend(edges.get(current, ()))
-        return reachable
-
     def pool_entrypoints(self) -> Set[str]:
         """Functions handed to a fork/process-pool submission method."""
         entrypoints: Set[str] = set()
@@ -1056,7 +936,3 @@ class Project:
                 if target is not None:
                     entrypoints.add(target)
         return entrypoints
-
-    def async_functions(self) -> Set[str]:
-        return {qualname for qualname, fn in self.functions.items()
-                if fn.is_async}

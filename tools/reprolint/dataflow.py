@@ -11,40 +11,26 @@ Three taint kinds flow across function/module boundaries here:
 * **Cache-key tuples** — the literal key shapes used with each cache
   constructed in ``service/`` or ``experiments/`` (R012).
 
-Plus a blocking-set fixpoint for R013 and fork/async reachability
-domains for R011.  All rules consume :class:`callgraph.ModuleFacts`
-(never ASTs), which is what lets the incremental engine skip parsing
-unchanged files while still re-running the whole-program analysis.
+Plus a blocking-set fixpoint for R013.  All rules consume
+:class:`callgraph.ModuleFacts`, never ASTs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import (
-    EPOCH_TOKENS,
-    HOST_TOKENS,
-    WALL_CLOCK_CALLS,
-    CacheFact,
-    FunctionFact,
-    ModuleFacts,
-    Project,
-)
-from .rules import PROJECT_RULE_IDS, PROJECT_RULE_TITLES  # noqa: F401
-# (re-exported here for callers of the dataflow layer; the canonical
-# registration lives in rules.py next to the per-file catalogue)
+from .callgraph import CacheFact, CallFact, FunctionFact, ModuleFacts, \
+    Project
+from .rules import SERVICE_CLOCK_ALLOWLIST, SIMULATED_TIME_SCOPES
 
 #: (path, lineno, col, rule_id, message)
 ProjectFinding = Tuple[str, int, int, str, str]
 
-#: Modules whose wall-clock use is governed by the per-file R002 scopes
-#: (mirrors rules._SIMULATED_TIME_SCOPES).
-_SIMULATED_TIME_SCOPES = ("core/", "netsim/", "geo/", "experiments/",
-                          "service/")
+#: Identifier tokens marking an epoch/content-digest key component.
+EPOCH_TOKENS = ("epoch", "digest", "token")
 
-#: Service modules may read the monotonic clock for latency metrics.
-_SERVICE_CLOCK_ALLOWLIST = frozenset({"time.monotonic",
-                                      "time.monotonic_ns"})
+#: Identifier tokens marking a host-identity key component.
+HOST_TOKENS = ("host_id", "hostid", "hostname", "server_id", "host")
 
 #: Subtrees R012 applies to (cache key completeness only matters where
 #: verdicts/measurements are epoch-scoped).
@@ -66,13 +52,6 @@ class ProjectAnalysis:
         self._compute_return_taints()
         self._compute_blocking()
         self.pool_entrypoints = project.pool_entrypoints()
-        self.fork_reachable = project.callers_closure(
-            self.pool_entrypoints)
-        # The sanctioned single-drainer pattern: work handed to
-        # run_in_executor leaves the event loop, so 'executor' edges do
-        # NOT extend the async domain (and pool edges never do).
-        self.async_reachable = project.callers_closure(
-            project.async_functions())
 
     # -- fixpoints -------------------------------------------------------------
 
@@ -114,7 +93,6 @@ class ProjectAnalysis:
                 break
 
     def _resolve_ref(self, module: str, ref: str) -> Optional[str]:
-        from .callgraph import CallFact
         return self.project.resolve_call(
             module, CallFact(callee=ref, lineno=0, col=0))
 
@@ -213,53 +191,6 @@ def _plain_rng_names_visible_to(facts: ModuleFacts, fn: FunctionFact,
     return plain
 
 
-def _check_shared_state_race(project: Project,
-                             analysis: ProjectAnalysis
-                             ) -> List[ProjectFinding]:
-    """R011: containers written from both fork and async domains."""
-    # container id -> [(path, write, writer qualname, domain)]
-    writes: Dict[str, List[Tuple[str, int, int, str, str]]] = {}
-    for facts in project.modules.values():
-        module_level = set(facts.module_containers) | {
-            assign.name for assign in facts.module_rng_assigns}
-        for fn in facts.functions:
-            qualname = f"{facts.module}.{fn.qualname}"
-            in_fork = qualname in analysis.fork_reachable
-            in_async = qualname in analysis.async_reachable
-            if not (in_fork or in_async):
-                continue
-            for write in fn.container_writes:
-                if write.key.startswith("self."):
-                    if fn.cls is None:
-                        continue
-                    container = f"{facts.module}.{fn.cls}:{write.key}"
-                elif write.key in module_level \
-                        or write.key in fn.global_decls:
-                    container = f"{facts.module}:{write.key}"
-                else:
-                    continue  # plain local, not shared
-                domain = "fork" if in_fork else "async"
-                if in_fork and in_async:
-                    domain = "both"
-                writes.setdefault(container, []).append(
-                    (facts.path, write.lineno, write.col, qualname, domain))
-    findings: List[ProjectFinding] = []
-    for container, sites in sorted(writes.items()):
-        domains = {domain for *_, domain in sites}
-        if not ({"fork", "both"} & domains and {"async", "both"} & domains):
-            continue
-        short = container.split(":")[-1]
-        for path, lineno, col, writer, domain in sites:
-            findings.append((
-                path, lineno, col, "R011",
-                f"shared container '{short}' is written in "
-                f"'{writer.rsplit('.', 1)[-1]}' (reachable from the "
-                f"{'fork pool and asyncio drainer' if domain == 'both' else ('fork-pool entrypoint' if domain == 'fork' else 'asyncio drainer')}); "
-                f"writes race across domains — confine them to the "
-                f"single-drainer pattern [rule R011]"))
-    return findings
-
-
 def _check_epoch_keys(project: Project) -> List[ProjectFinding]:
     """R012: host-keyed caches in scoped modules missing the epoch."""
     findings: List[ProjectFinding] = []
@@ -344,7 +275,7 @@ def _check_wallclock_flow(project: Project,
     findings: List[ProjectFinding] = []
     for facts in project.modules.values():
         scope = facts.scope_path
-        if not scope.startswith(_SIMULATED_TIME_SCOPES):
+        if not scope.startswith(SIMULATED_TIME_SCOPES):
             continue
         in_service = scope.startswith("service/")
         for fn in facts.functions:
@@ -360,15 +291,13 @@ def _check_wallclock_flow(project: Project,
                     project.module_of[target])
                 if target_facts is not None and \
                         target_facts.scope_path.startswith(
-                            _SIMULATED_TIME_SCOPES):
+                            SIMULATED_TIME_SCOPES):
                     # the callee's own direct reads are already
                     # covered by the per-file R002 in its module
                     continue
                 clocks = analysis.returns_wallclock.get(target, set())
-                clocks = {clock for clock in clocks
-                          if clock in WALL_CLOCK_CALLS}
                 if in_service:
-                    clocks = clocks - _SERVICE_CLOCK_ALLOWLIST
+                    clocks = clocks - SERVICE_CLOCK_ALLOWLIST
                 if not clocks:
                     continue
                 names = ", ".join(sorted(clocks))
@@ -386,7 +315,6 @@ def run_project_rules(project: Project) -> List[ProjectFinding]:
     analysis = ProjectAnalysis(project)
     findings: List[ProjectFinding] = []
     findings.extend(_check_rng_escape(project, analysis))
-    findings.extend(_check_shared_state_race(project, analysis))
     findings.extend(_check_epoch_keys(project))
     findings.extend(_check_blocking_in_async(project, analysis))
     findings.extend(_check_wallclock_flow(project, analysis))

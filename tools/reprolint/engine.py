@@ -1,21 +1,14 @@
 """reprolint engine: file discovery, suppressions, reporting, CLI.
 
-v2 runs in two layers.  Per-file rules (R001-R009) walk each module's
-AST exactly as v1 did; the whole-program layer extracts
+Every run has two layers.  Per-file rules (R001-R009) walk each
+module's AST; the whole-program layer extracts
 :class:`~tools.reprolint.callgraph.ModuleFacts` from the same parse and
-feeds every module's facts to the inter-procedural rules (R010-R013
-plus the cross-module R002 extension) in ``dataflow.py``.
-
-Because the project rules consume *facts* rather than ASTs, facts are
-the unit of incremental caching: ``--cache FILE`` stores each file's
-content digest, per-file diagnostics, suppressions, and facts, so a
-warm run re-parses only changed files while still re-running the
-(cheap) whole-program analysis over the full graph.
-
-The engine also supports a committed baseline (``--baseline`` /
-``--write-baseline``) for grandfathered diagnostics — stale entries
-that no longer fire fail the run so the baseline can only shrink — and
-SARIF 2.1.0 output (``--sarif``) for code-scanning upload.
+feeds every module's facts to the inter-procedural rules (R010, R012,
+R013 plus the cross-module R002 extension) in ``dataflow.py``.
+Findings of both layers honour the same inline suppressions.  The CLI
+prints one line per diagnostic and can also write a JSON report
+(``--json``) and a SARIF 2.1.0 log (``--sarif``) for code-scanning
+upload.
 
 Everything is deliberately dependency-free (stdlib only) so the lint
 gate runs anywhere the repository checks out — CI bootstrap, a
@@ -26,18 +19,16 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import io
 import json
 import os
 import re
 import sys
 import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import FACTS_VERSION, ModuleFacts, Project, \
-    extract_module_facts
+from .callgraph import ModuleFacts, Project, extract_module_facts
 from .dataflow import run_project_rules
 from .rules import ALL_RULES, PROJECT_RULE_IDS, PROJECT_RULE_TITLES, \
     RULE_IDS, Rule, build_import_map, extract_registered_knobs
@@ -48,12 +39,6 @@ META_RULE = "R000"
 
 #: Pseudo-rule for files that fail to parse.  Not suppressible.
 PARSE_RULE = "E999"
-
-#: Incremental-cache schema version (independent of FACTS_VERSION).
-CACHE_VERSION = 1
-
-#: Baseline-file schema version.
-BASELINE_VERSION = 1
 
 _SUPPRESS_RE = re.compile(
     r"reprolint:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+?)"
@@ -73,10 +58,6 @@ class Diagnostic:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used by the baseline workflow."""
-        return (self.path.replace(os.sep, "/"), self.rule, self.message)
-
 
 @dataclass(frozen=True)
 class Suppression:
@@ -95,29 +76,20 @@ class LintResult:
     diagnostics: List[Diagnostic]
     suppressions: List[Suppression]
     files_checked: int
-    #: Files actually parsed this run (< files_checked on a warm
-    #: incremental run; equal on a cold run).
-    reparsed_files: int = 0
-    #: Diagnostics swallowed by the committed baseline.
-    baselined: int = 0
-    #: Baseline entries that matched nothing this run (stale drift —
-    #: each is a hard failure so the baseline can only shrink).
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.diagnostics and not self.stale_baseline
+        return not self.diagnostics
 
 
 @dataclass
 class FileRecord:
-    """Cached per-file analysis output (everything but project rules)."""
+    """One file's analysis output (everything but project rules)."""
 
-    digest: str
     diagnostics: List[Diagnostic]
     suppressions: List[Suppression]
-    #: line -> rule ids suppressed there (kept so project-rule findings
-    #: honour inline suppressions without reparsing the file).
+    #: line -> rule ids suppressed there (project-rule findings honour
+    #: them too).
     suppressed_at: Dict[int, Set[str]]
     facts: Optional[ModuleFacts]
 
@@ -190,8 +162,7 @@ def lint_source(source: str, path: str = "<string>",
     record = _analyze_source(source, path, scope_path, rules,
                              extract_facts=False)
     return LintResult(diagnostics=record.diagnostics,
-                      suppressions=record.suppressions,
-                      files_checked=1, reparsed_files=1)
+                      suppressions=record.suppressions, files_checked=1)
 
 
 def _analyze_source(source: str, path: str,
@@ -203,15 +174,13 @@ def _analyze_source(source: str, path: str,
         scope_path = scope_path_for(path)
     suppressed_at, suppressions, diagnostics = _parse_suppressions(
         source, path)
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         diagnostics.append(Diagnostic(
             path, error.lineno or 1, (error.offset or 1) - 1, PARSE_RULE,
             f"file does not parse: {error.msg}"))
-        return FileRecord(digest=digest, diagnostics=diagnostics,
-                          suppressions=suppressions,
+        return FileRecord(diagnostics=diagnostics, suppressions=suppressions,
                           suppressed_at=suppressed_at, facts=None)
     names = build_import_map(tree)
     for rule in rules:
@@ -231,8 +200,7 @@ def _analyze_source(source: str, path: str,
                 path, 1, 0, META_RULE,
                 f"whole-program fact extraction failed: {error!r}; "
                 f"inter-procedural rules cannot see this module"))
-    return FileRecord(digest=digest, diagnostics=diagnostics,
-                      suppressions=suppressions,
+    return FileRecord(diagnostics=diagnostics, suppressions=suppressions,
                       suppressed_at=suppressed_at, facts=facts)
 
 
@@ -290,192 +258,44 @@ def _registry_readme_check(config_path: str, source: str) -> List[Diagnostic]:
         for name, line in knobs if name not in text]
 
 
-# -- incremental cache --------------------------------------------------------
-
-def _record_to_cache(record: FileRecord) -> dict:
-    return {
-        "digest": record.digest,
-        "diagnostics": [asdict(d) for d in record.diagnostics],
-        "suppressions": [
-            {"path": s.path, "line": s.line, "rules": list(s.rules),
-             "reason": s.reason} for s in record.suppressions],
-        "suppressed_at": {str(line): sorted(rules)
-                          for line, rules in record.suppressed_at.items()},
-        "facts": record.facts.to_dict() if record.facts else None,
-    }
-
-
-def _record_from_cache(entry: dict) -> FileRecord:
-    return FileRecord(
-        digest=entry["digest"],
-        diagnostics=[Diagnostic(**d) for d in entry.get("diagnostics", [])],
-        suppressions=[Suppression(path=s["path"], line=s["line"],
-                                  rules=tuple(s["rules"]),
-                                  reason=s["reason"])
-                      for s in entry.get("suppressions", [])],
-        suppressed_at={int(line): set(rules)
-                       for line, rules in
-                       entry.get("suppressed_at", {}).items()},
-        facts=(ModuleFacts.from_dict(entry["facts"])
-               if entry.get("facts") else None))
-
-
-def _load_cache(cache_path: Optional[str]) -> Dict[str, dict]:
-    if not cache_path or not os.path.isfile(cache_path):
-        return {}
-    try:
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if data.get("cache_version") != CACHE_VERSION \
-            or data.get("facts_version") != FACTS_VERSION \
-            or tuple(data.get("rule_ids", ())) != RULE_IDS:
-        return {}  # format or rule catalogue changed: full re-analysis
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: str, records: Dict[str, FileRecord]) -> None:
-    payload = {
-        "cache_version": CACHE_VERSION,
-        "facts_version": FACTS_VERSION,
-        "rule_ids": list(RULE_IDS),
-        "files": {path: _record_to_cache(record)
-                  for path, record in records.items()},
-    }
-    with open(cache_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-
-
 # -- whole-program analysis ---------------------------------------------------
 
 def analyze_paths(paths: Sequence[str],
-                  rules: Sequence[Rule] = ALL_RULES,
-                  cache_path: Optional[str] = None,
-                  project_rules: bool = True) -> LintResult:
-    """Lint files/directories with both per-file and project rules.
-
-    With ``cache_path``, per-file work (parse + per-file rules + fact
-    extraction) is skipped for files whose content digest is unchanged;
-    the whole-program rules always run over the full fact set, so cold
-    and warm runs report identical diagnostics.
-    """
-    cached_entries = _load_cache(cache_path)
+                  rules: Sequence[Rule] = ALL_RULES) -> LintResult:
+    """Lint files/directories with both per-file and project rules."""
     files = _python_files(paths)
     records: Dict[str, FileRecord] = {}
-    sources: Dict[str, str] = {}
-    reparsed = 0
-    for path in files:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        source = raw.decode("utf-8")
-        sources[path] = source
-        digest = hashlib.sha256(raw).hexdigest()
-        entry = cached_entries.get(path)
-        if entry is not None and entry.get("digest") == digest:
-            records[path] = _record_from_cache(entry)
-        else:
-            records[path] = _analyze_source(source, path, rules=rules)
-            reparsed += 1
     diagnostics: List[Diagnostic] = []
     suppressions: List[Suppression] = []
     for path in files:
-        record = records[path]
+        with open(path, "rb") as handle:
+            source = handle.read().decode("utf-8")
+        record = records[path] = _analyze_source(source, path, rules=rules)
         diagnostics.extend(record.diagnostics)
         suppressions.extend(record.suppressions)
-        # The README can change without config.py changing, so the R003
-        # registry cross-check always runs fresh (it is one file).
         if scope_path_for(path) == "config.py":
-            diagnostics.extend(_registry_readme_check(path, sources[path]))
-    if project_rules:
-        project = Project([record.facts for record in records.values()
-                           if record.facts is not None])
-        for finding_path, line, col, rule, message in \
-                run_project_rules(project):
-            record = records.get(finding_path)
-            if record is not None and \
-                    rule in record.suppressed_at.get(line, ()):
-                continue
-            diagnostics.append(Diagnostic(finding_path, line, col, rule,
-                                          message))
+            diagnostics.extend(_registry_readme_check(path, source))
+    project = Project([record.facts for record in records.values()
+                       if record.facts is not None])
+    for finding_path, line, col, rule, message in run_project_rules(project):
+        record = records.get(finding_path)
+        if record is not None and rule in record.suppressed_at.get(line, ()):
+            continue
+        diagnostics.append(Diagnostic(finding_path, line, col, rule, message))
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
-    if cache_path:
-        _save_cache(cache_path, records)
     return LintResult(diagnostics=diagnostics, suppressions=suppressions,
-                      files_checked=len(files), reparsed_files=reparsed)
-
-
-def lint_paths(paths: Sequence[str],
-               rules: Sequence[Rule] = ALL_RULES) -> LintResult:
-    """v1-compatible per-file lint over files/directories."""
-    return analyze_paths(paths, rules=rules, project_rules=False)
-
-
-# -- baseline workflow --------------------------------------------------------
-
-def load_baseline(path: str) -> List[Tuple[str, str, str]]:
-    """The committed baseline's (path, rule, message) fingerprints."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported baseline version {data.get('version')!r} "
-            f"in {path} (expected {BASELINE_VERSION})")
-    return [(entry["path"], entry["rule"], entry["message"])
-            for entry in data.get("entries", [])]
-
-
-def write_baseline(path: str, result: LintResult) -> int:
-    """Grandfather every current diagnostic; returns the entry count."""
-    fingerprints = sorted({d.fingerprint() for d in result.diagnostics})
-    payload = {
-        "version": BASELINE_VERSION,
-        "tool": "reprolint-baseline",
-        "entries": [{"path": p, "rule": rule, "message": message}
-                    for p, rule, message in fingerprints],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(payload["entries"])
-
-
-def apply_baseline(result: LintResult,
-                   entries: Sequence[Tuple[str, str, str]]) -> LintResult:
-    """Filter baselined diagnostics; surface stale entries as failures."""
-    known = set(entries)
-    kept: List[Diagnostic] = []
-    matched: Set[Tuple[str, str, str]] = set()
-    for diagnostic in result.diagnostics:
-        fingerprint = diagnostic.fingerprint()
-        if fingerprint in known:
-            matched.add(fingerprint)
-        else:
-            kept.append(diagnostic)
-    stale = sorted(known - matched)
-    return LintResult(diagnostics=kept, suppressions=result.suppressions,
-                      files_checked=result.files_checked,
-                      reparsed_files=result.reparsed_files,
-                      baselined=len(result.diagnostics) - len(kept),
-                      stale_baseline=list(stale))
+                      files_checked=len(files))
 
 
 # -- reporting ----------------------------------------------------------------
 
 def report_json(result: LintResult) -> dict:
-    """The machine-readable report (schema version 2)."""
+    """The machine-readable report (schema version 3)."""
     return {
-        "version": 2,
+        "version": 3,
         "tool": "reprolint",
         "files_checked": result.files_checked,
-        "reparsed_files": result.reparsed_files,
         "ok": result.ok,
-        "baselined": result.baselined,
-        "stale_baseline": [
-            {"path": p, "rule": rule, "message": message}
-            for p, rule, message in result.stale_baseline],
         "diagnostics": [asdict(d) for d in result.diagnostics],
         "suppressions": [
             {"path": s.path, "line": s.line, "rules": list(s.rules),
@@ -539,21 +359,10 @@ def sarif_report(result: LintResult) -> dict:
 
 def render(result: LintResult) -> str:
     lines = [diagnostic.render() for diagnostic in result.diagnostics]
-    for path, rule, message in result.stale_baseline:
-        lines.append(
-            f"{path}: stale baseline entry for {rule} no longer fires "
-            f"({message!r}); remove it from the baseline")
-    summary = (
+    lines.append(
         f"reprolint: {len(result.diagnostics)} diagnostic(s), "
         f"{len(result.suppressions)} suppression(s), "
         f"{result.files_checked} file(s) checked")
-    if result.reparsed_files != result.files_checked:
-        summary += f", {result.reparsed_files} reparsed (incremental)"
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entries"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -562,24 +371,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="reprolint",
         description="whole-program determinism & invariant linter "
                     "(per-file rules R001-R009, inter-procedural rules "
-                    "R010-R013; see DESIGN.md)")
+                    "R010, R012, R013; see DESIGN.md)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="also write a JSON report to FILE")
     parser.add_argument("--sarif", metavar="FILE", default=None,
                         help="also write a SARIF 2.1.0 log to FILE")
-    parser.add_argument("--cache", metavar="FILE", default=None,
-                        help="incremental cache: reuse per-file analysis "
-                             "for files whose content digest is unchanged")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="filter diagnostics through a committed "
-                             "baseline; stale entries fail the run")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite --baseline FILE from the current "
-                             "diagnostics and exit 0")
-    parser.add_argument("--no-project", action="store_true",
-                        help="skip the whole-program rules (per-file only)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     arguments = parser.parse_args(argv)
@@ -587,44 +385,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule_id, title in _rule_catalogue():
             print(f"{rule_id}  {title}")
         return 0
-    if arguments.write_baseline and not arguments.baseline:
-        print("reprolint: --write-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
     missing = [path for path in arguments.paths if not os.path.exists(path)]
     if missing:
         print(f"reprolint: no such path(s): {missing}", file=sys.stderr)
         return 2
-    result = analyze_paths(arguments.paths, cache_path=arguments.cache,
-                           project_rules=not arguments.no_project)
+    result = analyze_paths(arguments.paths)
     if result.files_checked == 0:
         print(f"reprolint: nothing analyzed: no Python files under "
               f"{list(arguments.paths)}", file=sys.stderr)
         return 2
-    if arguments.baseline and arguments.write_baseline:
-        count = write_baseline(arguments.baseline, result)
-        print(f"reprolint: wrote {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'} to {arguments.baseline}")
-        return 0
-    if arguments.baseline:
-        if not os.path.isfile(arguments.baseline):
-            print(f"reprolint: baseline file not found: "
-                  f"{arguments.baseline}", file=sys.stderr)
-            return 2
-        try:
-            entries = load_baseline(arguments.baseline)
-        except (ValueError, KeyError) as error:
-            print(f"reprolint: bad baseline: {error}", file=sys.stderr)
-            return 2
-        result = apply_baseline(result, entries)
     print(render(result))
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(report_json(result), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if arguments.sarif:
-        with open(arguments.sarif, "w", encoding="utf-8") as handle:
-            json.dump(sarif_report(result), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+    for target, report in ((arguments.json, report_json),
+                           (arguments.sarif, sarif_report)):
+        if target:
+            with open(target, "w", encoding="utf-8") as handle:
+                json.dump(report(result), handle, indent=2, sort_keys=True)
+                handle.write("\n")
     return 0 if result.ok else 1

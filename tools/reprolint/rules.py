@@ -178,22 +178,24 @@ class UnseededRandomness(Rule):
 
 # -- R002: wall-clock reads ---------------------------------------------------
 
-_WALL_CLOCK = {
+#: Wall-clock reads; the dataflow layer also tracks them across
+#: function boundaries (the cross-module R002).
+WALL_CLOCK_CALLS = frozenset({
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
     "time.monotonic", "time.monotonic_ns",
     "time.process_time", "time.process_time_ns",
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
-}
+})
 
-_SIMULATED_TIME_SCOPES = ("core/", "netsim/", "geo/", "experiments/",
-                          "service/")
+SIMULATED_TIME_SCOPES = ("core/", "netsim/", "geo/", "experiments/",
+                         "service/")
 
 #: The service layer's latency-instrumentation allowlist: monotonic
 #: deltas never enter a verdict, so R002 permits them there (and only
 #: there); every other clock stays banned.
-_SERVICE_CLOCK_ALLOWLIST = frozenset({
+SERVICE_CLOCK_ALLOWLIST = frozenset({
     "time.monotonic", "time.monotonic_ns",
 })
 
@@ -203,7 +205,7 @@ class WallClock(Rule):
     title = "wall-clock read in simulated-time code"
 
     def applies_to(self, scope_path: str) -> bool:
-        return scope_path.startswith(_SIMULATED_TIME_SCOPES)
+        return scope_path.startswith(SIMULATED_TIME_SCOPES)
 
     def check(self, tree: ast.Module, names: Dict[str, str],
               scope_path: str) -> List[Finding]:
@@ -213,8 +215,8 @@ class WallClock(Rule):
             if not isinstance(node, ast.Call):
                 continue
             path = dotted(node.func, names)
-            if path in _WALL_CLOCK:
-                if in_service and path in _SERVICE_CLOCK_ALLOWLIST:
+            if path in WALL_CLOCK_CALLS:
+                if in_service and path in SERVICE_CLOCK_ALLOWLIST:
                     continue
                 findings.append((
                     node.lineno, node.col_offset,
@@ -784,13 +786,11 @@ PER_FILE_RULE_IDS: Tuple[str, ...] = tuple(rule.id for rule in ALL_RULES)
 #: Inter-procedural rules implemented in tools/reprolint/dataflow.py.
 #: Registered here so suppression validation and --list-rules know the
 #: full catalogue without importing the whole-program machinery.
-PROJECT_RULE_IDS: Tuple[str, ...] = ("R010", "R011", "R012", "R013")
+PROJECT_RULE_IDS: Tuple[str, ...] = ("R010", "R012", "R013")
 
 PROJECT_RULE_TITLES: Dict[str, str] = {
     "R010": "RNG generator escapes the per-(seed, host_id) stream "
             "discipline",
-    "R011": "shared mutable state written from both fork-pool and "
-            "asyncio code",
     "R012": "service/experiments cache key omits the epoch digest",
     "R013": "blocking call reachable from a coroutine",
 }
